@@ -109,6 +109,7 @@ struct Sample
         row.nodeSec = profile.nodeSeconds;
         row.netSec = profile.netSeconds;
         row.commitSec = profile.commitSeconds;
+        row.netopsSec = profile.netopsSeconds;
         row.poolLiveHighWater = poolLiveHighWater;
         row.poolAllocs = poolAllocs;
         row.poolRecycled = poolRecycled;

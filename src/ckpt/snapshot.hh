@@ -6,7 +6,8 @@
  * architectural state — node memories (backed DRAM chunks only),
  * register sets and translation caches, NI send channels and message
  * queues, every in-flight message with its flits and cached routes,
- * the wake-scheduler heap, the fabric's back-pressure retry state, and
+ * the parked nodes' doze horizons, the fabric's back-pressure retry
+ * state, the netops engine's pending events in (cycle, seq) order, and
  * every counter the CounterRegistry reads — such that a run restored
  * at cycle C continues bit-identically to the uninterrupted run: same
  * final cycle count, same counter snapshot, same jtrace stream.
@@ -49,8 +50,12 @@ namespace ckpt
 
 inline constexpr std::uint32_t kMagic = 0x4A4D434Bu;  ///< "JMCK"
 /** v2: Message::netop byte in the pool section + the netops engine
- *  section (combine tables, in-flight requests, barrier tree). */
-inline constexpr std::uint32_t kVersion = 2;
+ *  section (combine tables, in-flight requests, barrier tree).
+ *  v3: the kernel wake queue is no longer written (restore rebuilds it
+ *  from the parked flags and doze horizons), kernel.parks and
+ *  kernel.early_wakes join the kernel counters, and netops events are
+ *  written in (cycle, seq) order instead of heap-array order. */
+inline constexpr std::uint32_t kVersion = 3;
 
 /** Little-endian byte sink the component save() methods write into. */
 class Writer

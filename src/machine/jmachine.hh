@@ -112,6 +112,7 @@ struct KernelProfile
     double nodeSeconds = 0.0;    ///< node stepping (+ fused pull phase)
     double netSeconds = 0.0;     ///< fabric move phase
     double commitSeconds = 0.0;  ///< barrier bookkeeping and channel commit
+    double netopsSeconds = 0.0;  ///< in-network computing engine step
     std::uint64_t steppedCycles = 0;  ///< cycles actually ticked (this run)
     std::uint64_t skippedCycles = 0;  ///< cycles jumped by idle-skip (this run)
 };
@@ -196,10 +197,14 @@ class JMachine
     /** Cycles the run loop never ticked thanks to idle-skip. */
     Cycle idleSkippedCycles() const { return idleSkipped_; }
 
-    /** Nodes currently parked in the wake heap (mid-instruction or
+    /** Nodes currently parked in the wake queue (mid-instruction or
      *  mid-span with a quiescent NI; not scanned until their wake
      *  cycle or an early message arrival). */
     std::size_t parkedNodes() const { return parkedCount_; }
+
+    /** Entries in the kernel wake queue. Equals parkedNodes() between
+     *  run() calls: the queue holds one entry per parked node. */
+    std::size_t wakeQueueSize() const { return wakeHeap_.size(); }
 
     /** Total host bytes behind the simulated machine: node memories,
      *  cores, NIs, fabric, message pool, trace rings, and kernel
@@ -283,26 +288,46 @@ class JMachine
         NodeId id;
     };
 
-    /** Min-heap order on (cycle, id) — deterministic pop order. */
+    /** Heap order on (cycle, id) — deterministic pop order. */
     static bool
-    wakeAfter(const Wake &a, const Wake &b)
+    wakeBefore(const Wake &a, const Wake &b)
     {
-        return a.at > b.at || (a.at == b.at && a.id > b.id);
+        return a.at < b.at || (a.at == b.at && a.id < b.id);
     }
+
+    /** heapPos_ value of a node with no wake-queue entry. */
+    static constexpr std::uint32_t kNotQueued = ~std::uint32_t{0};
 
     /** Park an active node until @p until (its step is a provable
      *  no-op before then). The node leaves the step list but stays
      *  architecturally awake — noteSleep is NOT called. */
     void parkNode(NodeId id, Cycle until);
 
-    /** Pop every wake due at or before now_ back onto the step list.
-     *  Stale entries (node unparked early by a message, or re-parked
-     *  on a different horizon) are discarded. */
+    /** Pop every wake due at or before now_ back onto the step list. */
     void wakeDueNodes();
 
-    /** Earliest live wake cycle, or ~0 when every entry is stale.
-     *  Drops stale heap tops as a side effect. */
-    Cycle nextParkedWake();
+    /** Earliest scheduled wake cycle, or ~0 when nothing is parked. */
+    Cycle
+    nextParkedWake() const
+    {
+        return wakeHeap_.empty() ? ~Cycle{0} : wakeHeap_.front().at;
+    }
+
+    // Indexed binary heap primitives (heapPos_ tracks every move).
+    void wakePush(Wake w);
+    void wakeRemove(std::uint32_t pos);
+    void wakeSiftUp(std::uint32_t pos);
+    void wakeSiftDown(std::uint32_t pos);
+    void
+    wakePlace(std::uint32_t pos, const Wake &w)
+    {
+        wakeHeap_[pos] = w;
+        heapPos_[w.id] = pos;
+    }
+
+    /** Rebuild the wake queue from parkedFlag_ and dozeUntil_ (the
+     *  state it is derived from) after a restore. */
+    void rebuildWakeQueue();
 
     MachineConfig config_;
     Program prog_;
@@ -320,20 +345,27 @@ class JMachine
      *  NI quiescent), so the run loop skips the call entirely. Cleared
      *  whenever a message header reaches the node (activateNode), which
      *  also covers optimistic-span rollbacks shortening busyUntil.
-     *  With the wake scheduler on, a nonzero entry doubles as the
-     *  node's scheduled wake cycle (heap entries are validated against
-     *  it, so clearing it also invalidates the heap entry). */
+     *  With the wake scheduler on, a parked node's entry doubles as
+     *  its scheduled wake cycle (restore rebuilds the wake queue from
+     *  it). */
     std::vector<Cycle> dozeUntil_;
-    /** Cycle-keyed wake queue over the parked nodes. Entries are
-     *  lazily deleted: one is live iff its node is still parked with
-     *  exactly that doze horizon. Main-thread only. */
+    /** Cycle-keyed wake queue: an indexed binary min-heap holding
+     *  exactly one entry per parked node (heapPos_[id] is the entry's
+     *  slot, kNotQueued when the node is not parked). An early wake
+     *  removes its node's entry, so the queue never holds stale work
+     *  and its size is parkedCount_. Main-thread only; derived from
+     *  parkedFlag_ + dozeUntil_, so snapshots do not carry it. */
     std::vector<Wake> wakeHeap_;
+    std::vector<std::uint32_t> heapPos_;
     std::vector<std::uint8_t> parkedFlag_;
     std::size_t parkedCount_ = 0;
     /** Kernel work counters (registered as kernel.*): node.step calls
-     *  made vs. calls avoided by parking/dozing. */
+     *  made vs. calls avoided by parking/dozing, parks, and parks cut
+     *  short by a message arrival. */
     std::uint64_t nodeSteps_ = 0;
     std::uint64_t skippedNodeSteps_ = 0;
+    std::uint64_t parks_ = 0;
+    std::uint64_t earlyWakes_ = 0;
     Cycle now_ = 0;
     Cycle idleSkipped_ = 0;
     unsigned haltedCount_ = 0;

@@ -20,7 +20,8 @@ runRowJson(const RunRow &row)
         "\"node_sec\": %.6f, \"net_sec\": %.6f, \"commit_sec\": %.6f, "
         "\"pool_live_high_water\": %llu, \"pool_allocs\": %llu, "
         "\"pool_recycled\": %llu, \"footprint_bytes\": %llu, "
-        "\"peak_rss_bytes\": %llu, \"boot_sec\": %.6f}",
+        "\"peak_rss_bytes\": %llu, \"boot_sec\": %.6f, "
+        "\"netops_sec\": %.6f}",
         row.workload.c_str(), row.nodes, row.threads, row.hostSeconds,
         static_cast<unsigned long long>(row.simCycles),
         static_cast<unsigned long long>(row.simInstructions),
@@ -30,7 +31,8 @@ runRowJson(const RunRow &row)
         static_cast<unsigned long long>(row.poolAllocs),
         static_cast<unsigned long long>(row.poolRecycled),
         static_cast<unsigned long long>(row.footprintBytes),
-        static_cast<unsigned long long>(row.peakRssBytes), row.bootSec);
+        static_cast<unsigned long long>(row.peakRssBytes), row.bootSec,
+        row.netopsSec);
     return std::string(buf);
 }
 

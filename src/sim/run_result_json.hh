@@ -46,6 +46,7 @@ struct RunRow
      *  before the first stepped cycle. Zero for runs that reused a
      *  checkpoint or forked image instead of booting. */
     double bootSec = 0;
+    double netopsSec = 0;              ///< kernel netops-engine phase
 
     double
     instrPerHostSec() const

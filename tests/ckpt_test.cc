@@ -5,8 +5,10 @@
  * count, same counter-registry snapshot, same jtrace stream — across
  * every host execution strategy (serial, threaded, wake scheduler and
  * superblocks on or off), because the image carries architectural
- * state only. Plus header rejection (bad magic, bad version, config
- * digest mismatch) and body-corruption detection.
+ * state only. The kernel wake queue is not in the image at all: a
+ * restore rebuilds it from the parked flags and doze horizons. Plus
+ * header rejection (bad magic, bad version, config digest mismatch)
+ * and body-corruption detection.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "sim/logging.hh"
 #include "trace/counter_registry.hh"
 #include "workloads/driver.hh"
+#include "workloads/innet.hh"
 #include "workloads/micro.hh"
 
 using namespace jmsim;
@@ -387,4 +390,74 @@ TEST(CkptReject, TruncationAtEveryBlockBoundaryIsClean)
     // Whatever the truncated attempts did, the full image still lands.
     ASSERT_TRUE(b->restore(snap, &err)) << err;
     EXPECT_EQ(b->now(), 600u);
+}
+
+// A mid-hotspot image taken while nodes are parked on their fetch-and-
+// add replies, after many parks were already cut short by a reply.
+// The saver's wake-queue array reflects that history; the restorer
+// rebuilds its queue from the parked flags in a different array order.
+// Neither may show in the image or in the continuation.
+TEST(CkptWakeQueue, MidHotspotParkedImageRoundTrips)
+{
+    constexpr unsigned kHotNodes = 64;
+    constexpr unsigned kHotOps = 16;
+    constexpr Cycle kLimit = 2'000'000;
+    auto a = buildFaaHotspotMachine(kHotNodes, kHotOps, true);
+    while (a->parkedNodes() < kHotNodes / 2 ||
+           a->counters().value("kernel.early_wakes") < kHotNodes) {
+        const RunResult r = a->runFor(1);
+        ASSERT_NE(r.reason, StopReason::AllHalted);
+        ASSERT_LT(a->now(), 100'000u);
+    }
+    const std::size_t parked = a->parkedNodes();
+    ckpt::Snapshot snap;
+    a->save(snap);
+    const RunResult full = a->run(kLimit);
+    ASSERT_EQ(full.reason, StopReason::AllHalted);
+
+    auto b = buildFaaHotspotMachine(kHotNodes, kHotOps, true);
+    std::string err;
+    ASSERT_TRUE(b->restore(snap, &err)) << err;
+    EXPECT_EQ(b->parkedNodes(), parked);
+    EXPECT_EQ(b->wakeQueueSize(), parked);
+    ckpt::Snapshot second;
+    b->save(second);
+    EXPECT_EQ(snap.bytes, second.bytes);
+
+    const RunResult cont = b->run(kLimit);
+    EXPECT_EQ(cont.cycles, full.cycles);
+    EXPECT_EQ(cont.reason, full.reason);
+    EXPECT_EQ(outInts(*b, 0), outInts(*a, 0));
+    expectEqualCounters(full.counters, cont.counters, false);
+
+    // The same image continues identically on the sharded kernel and
+    // with the scheduler off (architectural counters only there).
+    for (const bool sched : {true, false}) {
+        auto c = buildFaaHotspotMachine(kHotNodes, kHotOps, true);
+        c->setThreads(4);
+        c->setWakeScheduler(sched);
+        ASSERT_TRUE(c->restore(snap, &err)) << err;
+        EXPECT_EQ(c->wakeQueueSize(), c->parkedNodes());
+        const RunResult other = c->run(kLimit);
+        EXPECT_EQ(other.cycles, full.cycles) << "sched " << sched;
+        expectEqualCounters(full.counters, other.counters, true);
+    }
+}
+
+// A v2 image (it carried the wake queue array) is refused at the
+// header, leaving the machine untouched.
+TEST(CkptReject, VersionTwoImageIsRefused)
+{
+    ckpt::Snapshot snap;
+    auto a = fig4AtSnapPoint(snap);
+    const std::uint32_t v2 = 2;
+    for (unsigned i = 0; i < 4; ++i)
+        snap.bytes[4 + i] = static_cast<std::uint8_t>(v2 >> (8 * i));
+
+    auto b = buildFig4Machine(kNodes);
+    std::string err;
+    EXPECT_FALSE(b->restore(snap, &err));
+    EXPECT_NE(err.find("version 2"), std::string::npos) << err;
+    EXPECT_EQ(b->now(), 0u);
+    EXPECT_EQ(b->parkedNodes(), 0u);
 }

@@ -31,6 +31,7 @@ TEST(RunResultJson, GoldenRow)
     row.footprintBytes = 2447516;
     row.peakRssBytes = 8572928;
     row.bootSec = 0.015625;
+    row.netopsSec = 0.00390625;
 
     EXPECT_EQ(
         runRowJson(row),
@@ -42,7 +43,8 @@ TEST(RunResultJson, GoldenRow)
         "\"commit_sec\": 0.031250, "
         "\"pool_live_high_water\": 10, \"pool_allocs\": 7378, "
         "\"pool_recycled\": 7377, \"footprint_bytes\": 2447516, "
-        "\"peak_rss_bytes\": 8572928, \"boot_sec\": 0.015625}");
+        "\"peak_rss_bytes\": 8572928, \"boot_sec\": 0.015625, "
+        "\"netops_sec\": 0.003906}");
 }
 
 TEST(RunResultJson, DefaultsAndZeroRate)
@@ -60,5 +62,6 @@ TEST(RunResultJson, DefaultsAndZeroRate)
         "\"commit_sec\": 0.000000, "
         "\"pool_live_high_water\": 0, \"pool_allocs\": 0, "
         "\"pool_recycled\": 0, \"footprint_bytes\": 0, "
-        "\"peak_rss_bytes\": 0, \"boot_sec\": 0.000000}");
+        "\"peak_rss_bytes\": 0, \"boot_sec\": 0.000000, "
+        "\"netops_sec\": 0.000000}");
 }

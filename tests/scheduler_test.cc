@@ -2,15 +2,20 @@
  * @file
  * Unit tests for the event-driven wake scheduler: parked nodes cost
  * zero step calls, the stepped/skipped cycle accounting is exact, the
- * footprint audit reports sane numbers, and — the hard invariant — a
+ * footprint audit reports sane numbers, the wake queue holds exactly
+ * one entry per parked node, and — the hard invariant — a
  * scheduler-off run is bit-identical to a scheduler-on one at every
  * kernel configuration.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "netops/netops.hh"
 #include "trace/counter_registry.hh"
 #include "workloads/driver.hh"
+#include "workloads/innet.hh"
 #include "workloads/micro.hh"
 
 namespace jmsim
@@ -231,6 +236,80 @@ TEST(WakeScheduler, FootprintBytesReported)
     // 64 nodes is dominated by 64 * 4K-word SRAMs (~2 MB array data);
     // anything past tens of MB means eager allocation crept back in.
     EXPECT_LT(large.run.footprintBytes, 32ull << 20);
+}
+
+/** A combining fetch-and-add hotspot run in slices, with the wake
+ *  queue checked against the parked-node count at every boundary. */
+struct HotspotSlices
+{
+    RunResult last;
+    std::int32_t finalValue = 0;
+    std::vector<std::int32_t> out;
+    std::size_t maxParked = 0;
+};
+
+constexpr unsigned kHotspotNodes = 64;
+constexpr unsigned kHotspotOps = 16;
+
+HotspotSlices
+hotspotInSlices(int threads, int wake_sched)
+{
+    ThreadsGuard guard(threads);
+    WakeGuard w(wake_sched);
+    auto m = workloads::buildFaaHotspotMachine(kHotspotNodes, kHotspotOps,
+                                               /*combining=*/true);
+    HotspotSlices h;
+    do {
+        h.last = m->runFor(97);
+        EXPECT_EQ(m->wakeQueueSize(), m->parkedNodes())
+            << "stale or missing wake entries at cycle " << m->now();
+        h.maxParked = std::max(h.maxParked, m->parkedNodes());
+    } while (h.last.reason == StopReason::CycleLimit && m->now() < 2'000'000);
+    h.finalValue = m->netops()->slotValue(0);
+    h.out = workloads::outInts(*m, 0);
+    return h;
+}
+
+// Every hotspot node parks on its fetch-and-add reply and the reply
+// wakes it early. The queue must drop each early-woken entry at once:
+// between run() calls it holds exactly one entry per parked node.
+TEST(WakeQueue, HoldsOneEntryPerParkedNodeThroughHotspot)
+{
+    for (const int threads : {1, 4}) {
+        const HotspotSlices h = hotspotInSlices(threads, 1);
+        EXPECT_EQ(h.last.reason, StopReason::AllHalted) << threads;
+        EXPECT_EQ(h.finalValue,
+                  static_cast<std::int32_t>(kHotspotNodes * kHotspotOps));
+        EXPECT_GT(h.maxParked, 0u) << threads;
+        const std::uint64_t parks =
+            counterValue(h.last.counters, "kernel.parks");
+        const std::uint64_t early =
+            counterValue(h.last.counters, "kernel.early_wakes");
+        EXPECT_GT(early, 0u) << threads;
+        EXPECT_LE(early, parks) << threads;
+    }
+}
+
+// The same sliced hotspot with the scheduler off: no node ever parks,
+// and every architectural number matches the scheduler-on run.
+TEST(WakeQueue, HotspotOffMatchesOn)
+{
+    const HotspotSlices on = hotspotInSlices(1, 1);
+    const HotspotSlices off = hotspotInSlices(1, 0);
+    EXPECT_EQ(off.maxParked, 0u);
+    EXPECT_EQ(counterValue(off.last.counters, "kernel.parks"), 0u);
+    EXPECT_EQ(on.last.cycles, off.last.cycles);
+    EXPECT_EQ(on.last.reason, off.last.reason);
+    EXPECT_EQ(on.finalValue, off.finalValue);
+    EXPECT_EQ(on.out, off.out);
+    ASSERT_EQ(on.last.counters.size(), off.last.counters.size());
+    for (std::size_t i = 0; i < on.last.counters.size(); ++i) {
+        const CounterSample &a = on.last.counters[i];
+        ASSERT_EQ(a.name, off.last.counters[i].name);
+        if (a.name.rfind("kernel.", 0) == 0)
+            continue;  // the scheduler's own work accounting
+        EXPECT_EQ(a.value, off.last.counters[i].value) << a.name;
+    }
 }
 
 } // namespace

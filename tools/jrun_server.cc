@@ -255,6 +255,7 @@ emitJob(PreparedApp &app, const Job &job, double boot_sec)
     row.nodeSec = r.profile.nodeSeconds;
     row.netSec = r.profile.netSeconds;
     row.commitSec = r.profile.commitSeconds;
+    row.netopsSec = r.profile.netopsSeconds;
     row.poolLiveHighWater = counterValue(r.counters, "pool.live_high_water");
     row.poolAllocs = counterValue(r.counters, "pool.allocs");
     row.poolRecycled = counterValue(r.counters, "pool.recycled");
