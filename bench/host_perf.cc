@@ -2,12 +2,10 @@
  * @file
  * Host-side performance harness for the simulation kernel itself: runs
  * a fixed workload mix (fig3 random traffic, fig4 saturation load,
- * radix sort) at several machine sizes for worker-thread counts
- * {1, 2, 4, hw}, best of three runs per point, and reports
- * simulated-instructions-per-host-second plus the wall-clock speedup
- * of each threaded kernel over the serial one. On a single-CPU host
- * the threads > 1 rows are skipped — they measure barrier overhead,
- * not the kernel. Each traffic row also carries the kernel's phase
+ * radix sort) at several machine sizes, best of three runs per point,
+ * and reports simulated-instructions-per-host-second. Every row runs
+ * the serial kernel, so the JSON `threads` column is always 1 (kept so
+ * old baselines still parse). Each traffic row also carries the kernel's phase
  * breakdown (node/net/commit host seconds), the message-pool counters,
  * the machine's audited simulator-state bytes (footprint_bytes), and
  * the process peak RSS. Emits `BENCH_host_perf.json` next to the
@@ -21,12 +19,6 @@
  * *network* scheduler as the knob — the A/B proof that mesh step cost
  * tracks in-flight flits) — and a timeout-bounded 4096-node (16x16x16)
  * fig3 smoke row that pins the large-mesh footprint.
- *
- * Threaded runs are bit-identical to serial runs (see
- * tests/determinism_test.cc), so every row of a workload/size group
- * simulates exactly the same cycles and instructions — only the host
- * time changes. Speedups > 1 require real cores; on a single-CPU host
- * the harness still runs and honestly reports the barrier overhead.
  *
  * `--check <baseline.json>` runs a small perf-smoke instead: the
  * 64-node serial workloads, best of three, compared against the
@@ -42,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,7 +61,7 @@ struct Sample
 {
     std::string workload;
     unsigned nodes = 0;
-    unsigned threads = 0;
+    unsigned threads = 1;  ///< always 1: the kernel is serial
     double hostSeconds = 0;
     Cycle simCycles = 0;
     std::uint64_t simInstructions = 0;
@@ -156,13 +149,11 @@ samplePeakRss()
 }
 
 Sample
-fromProbe(const char *workload, unsigned nodes, unsigned threads,
-          const TrafficProbe &p)
+fromProbe(const char *workload, unsigned nodes, const TrafficProbe &p)
 {
     Sample s;
     s.workload = workload;
     s.nodes = nodes;
-    s.threads = threads;
     s.hostSeconds = p.hostSeconds;
     s.simCycles = p.run.cycles;
     s.simInstructions = p.instructions;
@@ -183,13 +174,11 @@ fromProbe(const char *workload, unsigned nodes, unsigned threads,
 Sample
 sampleSparse(unsigned nodes, Cycle window, bool sched_on)
 {
-    setSimThreads(1);
     setWakeScheduler(sched_on ? 1 : 0);
     const TrafficProbe p = runSparseActivity(nodes, 8, window);
     setWakeScheduler(-1);
-    setSimThreads(-1);
     return fromProbe(sched_on ? "sparse_ring" : "sparse_ring_nosched",
-                     nodes, 1, p);
+                     nodes, p);
 }
 
 /** The same token ring, but the A/B knob is the *fabric* scheduler:
@@ -199,22 +188,18 @@ sampleSparse(unsigned nodes, Cycle window, bool sched_on)
 Sample
 sampleFabricQuiet(unsigned nodes, Cycle window, bool sched_on)
 {
-    setSimThreads(1);
     setNetScheduler(sched_on ? 1 : 0);
     const TrafficProbe p = runSparseActivity(nodes, 8, window);
     setNetScheduler(-1);
-    setSimThreads(-1);
     return fromProbe(sched_on ? "fabric_quiet" : "fabric_quiet_nosched",
-                     nodes, 1, p);
+                     nodes, p);
 }
 
 Sample
-sampleTraffic(unsigned nodes, unsigned threads, Cycle window)
+sampleTraffic(unsigned nodes, Cycle window)
 {
-    setSimThreads(static_cast<int>(threads));
-    const TrafficProbe p = runFig3Traffic(nodes, 8, 80, window);
-    setSimThreads(-1);
-    return fromProbe("fig3_traffic", nodes, threads, p);
+    return fromProbe("fig3_traffic", nodes,
+                     runFig3Traffic(nodes, 8, 80, window));
 }
 
 Sample
@@ -222,38 +207,30 @@ sampleTrafficTraced(unsigned nodes, Cycle window)
 {
     TraceConfig tc;
     tc.enabled = true;
-    setSimThreads(1);
     setTraceConfig(tc);
     const TrafficProbe p = runFig3Traffic(nodes, 8, 80, window);
     clearTraceConfig();
-    setSimThreads(-1);
-    return fromProbe("fig3_traffic_traced", nodes, 1, p);
+    return fromProbe("fig3_traffic_traced", nodes, p);
 }
 
 Sample
-sampleFig4(unsigned nodes, unsigned threads, Cycle window)
+sampleFig4(unsigned nodes, Cycle window)
 {
-    setSimThreads(static_cast<int>(threads));
-    const TrafficProbe p = runFig4Load(nodes, window);
-    setSimThreads(-1);
-    return fromProbe("fig4_load", nodes, threads, p);
+    return fromProbe("fig4_load", nodes, runFig4Load(nodes, window));
 }
 
 Sample
-sampleRadix(unsigned nodes, unsigned threads, unsigned keys)
+sampleRadix(unsigned nodes, unsigned keys)
 {
     RadixConfig c;
     c.nodes = nodes;
     c.keys = keys;
-    setSimThreads(static_cast<int>(threads));
     const auto t0 = std::chrono::steady_clock::now();
     const AppResult r = runRadixSort(c);
     const auto t1 = std::chrono::steady_clock::now();
-    setSimThreads(-1);
     Sample s;
     s.workload = "radix_sort";
     s.nodes = nodes;
-    s.threads = threads;
     s.hostSeconds = std::chrono::duration<double>(t1 - t0).count();
     s.simCycles = r.runCycles;
     s.simInstructions = r.instructions;
@@ -273,7 +250,6 @@ sampleRadix(unsigned nodes, unsigned threads, unsigned keys)
 struct SweepVariant
 {
     const char *tag;
-    unsigned threads = 1;
     bool wakeScheduler = true;
     bool netScheduler = true;
     bool superblock = true;
@@ -281,12 +257,11 @@ struct SweepVariant
 
 constexpr SweepVariant kSweepVariants[] = {
     {"default"},
-    {"t2", 2},
-    {"nosched", 1, false},
-    {"nosb", 1, true, true, false},
+    {"nosched", false},
+    {"nosb", true, true, false},
 };
 
-/** One boot group of the 12-job farm sweep: a workload size plus the
+/** One boot group of the farm sweep: a workload size plus the
  *  warmup prefix its variants share (parked near the end of the run,
  *  where the amortization headroom is). */
 struct SweepGroup
@@ -300,6 +275,9 @@ constexpr SweepGroup kSweepGroups[] = {
     {"nqueens", 27000},      // full run 28575 cycles at 16 nodes, 8 queens
     {"tsp", 205000},         // full run 208489 cycles at 16 nodes, 8 cities
 };
+
+constexpr double kSweepJobs =
+    std::size(kSweepGroups) * std::size(kSweepVariants);
 
 PreparedApp
 prepareSweepApp(const char *workload)
@@ -325,14 +303,13 @@ prepareSweepApp(const char *workload)
 void
 applySweepVariant(JMachine &m, const SweepVariant &v)
 {
-    m.setThreads(v.threads);
     m.setWakeScheduler(v.wakeScheduler);
     m.setNetScheduler(v.netScheduler);
     m.setSuperblock(v.superblock);
 }
 
 /**
- * The 12-job config sweep (3 workload groups x 4 toggle variants),
+ * The 9-job config sweep (3 workload groups x 3 toggle variants),
  * run two ways: cold boots every job from scratch (what the sweep
  * scripts used to do); farm boots each group once, advances it
  * through the shared warmup prefix, checkpoints, and restores the
@@ -346,7 +323,6 @@ sampleSweep(bool farm)
     Sample s;
     s.workload = farm ? "sweep_farm" : "sweep_cold";
     s.nodes = 16;
-    s.threads = 1;
     const auto t0 = std::chrono::steady_clock::now();
     for (const SweepGroup &group : kSweepGroups) {
         if (!farm) {
@@ -505,8 +481,8 @@ runCheck(const char *baseline_path, double floor)
         double best_fabric = -1;
         for (unsigned rep = 0; rep < kReps; ++rep) {
             const Sample s = workload == std::string("fig3_traffic")
-                                 ? sampleTraffic(kNodes, 1, kWindow)
-                                 : sampleRadix(kNodes, 1, kKeys);
+                                 ? sampleTraffic(kNodes, kWindow)
+                                 : sampleRadix(kNodes, kKeys);
             best = std::max(best, s.instrPerHostSec());
             const double fabric =
                 s.profile.netSeconds + s.profile.commitSeconds;
@@ -542,7 +518,7 @@ runCheck(const char *baseline_path, double floor)
         }
     }
 
-    // Sweep-throughput check: rerun the 12-job farm sweep and hold its
+    // Sweep-throughput check: rerun the farm sweep and hold its
     // sim-instructions/host-second to the same floor (skipped against
     // baselines from before the farm rows existed).
     const BaselineEntry *refSweep = nullptr;
@@ -577,7 +553,7 @@ runCheck(const char *baseline_path, double floor)
             ref4k = &e;
     }
     if (ref4k) {
-        const Sample s = sampleTraffic(4096, 1, 400);
+        const Sample s = sampleTraffic(4096, 400);
         const double ratio =
             static_cast<double>(s.footprintBytes) / ref4k->footprintBytes;
         std::printf("%-14s %6u %16llu %16llu %6.2fx  (footprint bytes)\n",
@@ -624,19 +600,10 @@ main(int argc, char **argv)
         radix_keys = 32768;
     }
 
+    // Recorded in the JSON as part of the host fingerprint.
     unsigned hw = std::thread::hardware_concurrency();
     if (hw == 0)
         hw = 1;
-    // Threaded rows on a 1-CPU host measure barrier overhead, not the
-    // kernel: skip them (the determinism suite still proves threaded
-    // equivalence) and cut the bench wall time.
-    std::vector<unsigned> thread_counts = {1, 2, 4, hw};
-    if (hw == 1)
-        thread_counts = {1};
-    std::sort(thread_counts.begin(), thread_counts.end());
-    thread_counts.erase(
-        std::unique(thread_counts.begin(), thread_counts.end()),
-        thread_counts.end());
 
     bench::header("Host performance: simulated instructions per host "
                   "second (hw concurrency " + std::to_string(hw) + ")");
@@ -651,30 +618,22 @@ main(int argc, char **argv)
     for (const unsigned nodes : sizes) {
         for (const char *workload :
              {"fig3_traffic", "fig4_load", "radix_sort"}) {
-            double serial_seconds = 0;
-            for (const unsigned threads : thread_counts) {
-                Sample s;
-                for (unsigned rep = 0; rep < reps; ++rep) {
-                    Sample r = workload == std::string("fig3_traffic")
-                                   ? sampleTraffic(nodes, threads, window)
-                               : workload == std::string("fig4_load")
-                                   ? sampleFig4(nodes, threads, window)
-                                   : sampleRadix(nodes, threads, radix_keys);
-                    if (rep == 0 || r.hostSeconds < s.hostSeconds)
-                        s = std::move(r);
-                }
-                if (threads == 1)
-                    serial_seconds = s.hostSeconds;
-                s.speedup = s.hostSeconds > 0 && serial_seconds > 0
-                                ? serial_seconds / s.hostSeconds
-                                : 1.0;
-                std::printf("%-14s %6u %8u %10.3f %14llu %16.0f %8.2fx\n",
-                            s.workload.c_str(), s.nodes, s.threads,
-                            s.hostSeconds,
-                            static_cast<unsigned long long>(s.simCycles),
-                            s.instrPerHostSec(), s.speedup);
-                samples.push_back(std::move(s));
+            Sample s;
+            for (unsigned rep = 0; rep < reps; ++rep) {
+                Sample r = workload == std::string("fig3_traffic")
+                               ? sampleTraffic(nodes, window)
+                           : workload == std::string("fig4_load")
+                               ? sampleFig4(nodes, window)
+                               : sampleRadix(nodes, radix_keys);
+                if (rep == 0 || r.hostSeconds < s.hostSeconds)
+                    s = std::move(r);
             }
+            std::printf("%-14s %6u %8u %10.3f %14llu %16.0f %8.2fx\n",
+                        s.workload.c_str(), s.nodes, s.threads,
+                        s.hostSeconds,
+                        static_cast<unsigned long long>(s.simCycles),
+                        s.instrPerHostSec(), s.speedup);
+            samples.push_back(std::move(s));
         }
     }
 
@@ -730,7 +689,7 @@ main(int argc, char **argv)
 
     // Fabric-scheduler A/B rows: the same heterogeneous ring, wake
     // scheduling at its default in both, only the mesh stepping
-    // strategy differs. The nosched row walks the legacy sharded
+    // strategy differs. The nosched row walks the legacy full-scan
     // pull/move/commit; the sched row's speedup column reports the
     // event-driven fabric's end-to-end win (the fabric-phase win is
     // larger — compare the rows' net_sec + commit_sec).
@@ -769,9 +728,8 @@ main(int argc, char **argv)
     // over a short, timeout-bounded window. Pins the mesh's audited
     // footprint for the --check regression gate.
     {
-        const Sample s = sampleTraffic(4096, 1,
-                                       scale == bench::Scale::Quick ? 300
-                                                                    : 400);
+        const Sample s =
+            sampleTraffic(4096, scale == bench::Scale::Quick ? 300 : 400);
         std::printf("%-14s %6u %8u %10.3f %14llu %16.0f %8.2fx  "
                     "(footprint %.1f MB)\n",
                     s.workload.c_str(), s.nodes, s.threads, s.hostSeconds,
@@ -781,7 +739,7 @@ main(int argc, char **argv)
         samples.push_back(s);
     }
 
-    // Sweep-throughput A/B rows: the 12-job radix/nqueens/tsp config
+    // Sweep-throughput A/B rows: the 9-job radix/nqueens/tsp config
     // sweep, cold-booted per job vs farmed from warmed checkpoints
     // (the in-process equivalent of tools/jrun_server). The farm row's
     // speedup column is the end-to-end amortization win; both rows
@@ -799,7 +757,8 @@ main(int argc, char **argv)
                         s->hostSeconds,
                         static_cast<unsigned long long>(s->simCycles),
                         s->instrPerHostSec(), s->speedup,
-                        s->hostSeconds > 0 ? 12 * 60.0 / s->hostSeconds : 0.0,
+                        s->hostSeconds > 0 ? kSweepJobs * 60.0 / s->hostSeconds
+                                           : 0.0,
                         s->bootSeconds);
         }
         samples.push_back(std::move(cold));

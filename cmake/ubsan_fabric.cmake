@@ -27,7 +27,7 @@ if(NOT rv EQUAL 0)
     message(FATAL_ERROR "ubsan build failed")
 endif()
 
-# The full fabric-scheduler suite (crafted meshes + serial/threaded
+# The full fabric-scheduler suite (crafted meshes + scheduler on/off
 # A/B) and the raw mesh unit tests cover injection, routing, fused
 # commit, back-pressure retry, and delivery under the sanitizer.
 execute_process(

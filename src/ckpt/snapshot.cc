@@ -46,6 +46,19 @@ Reader::u32()
     return v;
 }
 
+std::uint32_t
+Reader::count(std::size_t record_bytes)
+{
+    const std::size_t at = pos_;
+    const std::uint32_t n = u32();
+    if (n > remaining() / record_bytes)
+        fatal("checkpoint: count " + std::to_string(n) + " at offset " +
+              std::to_string(at) + " needs at least " +
+              std::to_string(record_bytes) + " bytes per record, but " +
+              std::to_string(remaining()) + " bytes remain");
+    return n;
+}
+
 std::uint64_t
 Reader::u64()
 {

@@ -15,21 +15,23 @@
  * Host-side execution strategy is deliberately NOT part of the image:
  * the header digest covers the architectural configuration (mesh
  * dims, memory/NI/processor timing, arbitration) and the program
- * image, but none of the host toggles (threads, idleSkip,
- * wakeScheduler, netScheduler, superblock, trace). A snapshot taken
- * under one strategy therefore restores into a machine running any
- * other — the property the jrun_server sweep farm is built on.
+ * image, but none of the host toggles (idleSkip, wakeScheduler,
+ * netScheduler, superblock, trace). A snapshot taken under one
+ * strategy therefore restores into a machine running any other — the
+ * property the jrun_server sweep farm is built on.
  *
  * Message handles are pool-allocation names, not architectural state
- * (free-list order depends on the shard count), so the image stores
- * messages by a dense ordinal and every stored Flit/MsgHandle field
- * is rewritten through a HandleMap on both paths.
+ * (free-list order depends on the allocation history), so the image
+ * stores messages by a dense ordinal and every stored Flit/MsgHandle
+ * field is rewritten through a HandleMap on both paths.
  *
  * Layout: {magic u32, version u32, config digest u64} then the body
  * sections in machine order (kernel, pool, nodes, network). Header
  * mismatches are reported to the caller (JMachine::restore returns
  * false); body corruption past a valid header is detected by the
- * bounds-checked Reader and is fatal.
+ * bounds-checked Reader and is fatal (FatalError), including a count
+ * too large for the bytes left, which is refused before anything is
+ * allocated for it (Reader::count).
  */
 
 #ifndef JMSIM_CKPT_SNAPSHOT_HH
@@ -113,6 +115,11 @@ class Reader
     std::uint8_t u8();
     std::uint32_t u32();
     std::uint64_t u64();
+
+    /** Read a u32 record count, fatal unless the rest of the image can
+     *  hold that many records of at least @p record_bytes (> 0) each.
+     *  Read counts through this before sizing a container by them. */
+    std::uint32_t count(std::size_t record_bytes);
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
     bool b() { return u8() != 0; }
     double f64();

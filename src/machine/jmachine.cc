@@ -1,13 +1,11 @@
 #include "machine/jmachine.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "ckpt/snapshot.hh"
 #include "machine/loader.hh"
 #include "sim/host_timer.hh"
 #include "sim/logging.hh"
-#include "sim/thread_pool.hh"
 #include "trace/chrome_trace.hh"
 
 namespace jmsim
@@ -87,33 +85,9 @@ JMachine::exportTrace()
                             tracer_->dropped());
 }
 
-unsigned
-JMachine::resolvedThreads() const
-{
-    const unsigned n = nodeCount();
-    unsigned t = config_.threads;
-    if (t == 0) {
-        // Auto: a shard per hardware thread, but parallelism only pays
-        // once each shard has a few dozen nodes to step per cycle.
-        unsigned hw = std::thread::hardware_concurrency();
-        if (hw == 0)
-            hw = 1;
-        const unsigned cap = n / 32;
-        t = std::min(hw, cap ? cap : 1);
-    }
-    return std::max(1u, std::min(t, n));
-}
-
 void
 JMachine::activateNode(NodeId id)
 {
-    if (inParallel_) {
-        // Cross-shard wake during the parallel node phase: buffer it
-        // per shard and merge in node-id order at the cycle barrier
-        // instead of mutating the shared active list.
-        pendingWakes_[ThreadPool::currentShard()].push_back(id);
-        return;
-    }
     // A header arrival (or rollback) invalidates any doze horizon: the
     // node may need stepping as early as the next cycle.
     dozeUntil_[id] = 0;
@@ -230,21 +204,6 @@ JMachine::rebuildWakeQueue()
 }
 
 void
-JMachine::mergePendingWakes()
-{
-    wakeScratch_.clear();
-    for (auto &shard : pendingWakes_) {
-        wakeScratch_.insert(wakeScratch_.end(), shard.begin(), shard.end());
-        shard.clear();
-    }
-    if (wakeScratch_.empty())
-        return;
-    std::sort(wakeScratch_.begin(), wakeScratch_.end());
-    for (const NodeId id : wakeScratch_)
-        activateNode(id);
-}
-
-void
 JMachine::maybeIdleSkip(Cycle max_cycles)
 {
     // Skippable state: no flit anywhere in the fabric (blocked worms
@@ -252,8 +211,7 @@ JMachine::maybeIdleSkip(Cycle max_cycles)
     // them), every active node's NI drained, and every active core
     // inside a multi-cycle instruction or dispatch. Until the earliest
     // busyUntil_, each tick would step nothing and change nothing, so
-    // jumping the clock there is exact — serial and threaded kernels
-    // run the identical check at the same point in the cycle.
+    // jumping the clock there is exact.
     //
     // The fabric's verdict comes from its deterministic next-event
     // cycle: any in-flight flit (or committed flit awaiting its pull)
@@ -296,8 +254,6 @@ JMachine::maybeIdleSkip(Cycle max_cycles)
         return;
     if (kTraceCompiledIn && tracer_ &&
         tracer_->wants(TraceKind::IdleSkip)) {
-        // Always recorded on the main thread (ring 0): the idle-skip
-        // check runs between cycles, outside both fork-joins.
         TraceEvent ev;
         ev.cycle = now_;
         ev.node = kMachineTrack;
@@ -314,15 +270,6 @@ JMachine::maybeIdleSkip(Cycle max_cycles)
 
 RunResult
 JMachine::run(Cycle max_cycles)
-{
-    const unsigned shards = resolvedThreads();
-    if (shards <= 1)
-        return runSerial(max_cycles);
-    return runThreaded(max_cycles, shards);
-}
-
-RunResult
-JMachine::runSerial(Cycle max_cycles)
 {
     RunResult result;
     result.reason = StopReason::CycleLimit;
@@ -393,16 +340,15 @@ JMachine::runSerial(Cycle max_cycles)
         std::uint64_t t2 = t1, t3 = t1;
         if (net_.anyActive()) {
             net_.noteStepBegin();
-            if (net_.fastPathEligible()) {
-                // Sparse cycle: one fused pass (pull worklist, move the
-                // few active routers, commit dirty words inline). The
-                // whole step bills to the net phase.
+            if (net_.eventDriven()) {
+                // One fused pass (move the active routers, commit dirty
+                // words inline). The whole step bills to the net phase.
                 net_.stepFast(now_);
                 t2 = hostTicks();
                 t3 = t2;
             } else {
-                net_.pullShard(0);
-                net_.moveShard(0, now_);
+                net_.pullPhase();
+                net_.movePhase(now_);
                 t2 = hostTicks();
                 net_.commitPhase(now_);
                 t3 = hostTicks();
@@ -431,185 +377,6 @@ JMachine::runSerial(Cycle max_cycles)
         }
     }
     result.cycles = now_;
-    result.profile.nodeSeconds = hostSeconds(node_ticks);
-    result.profile.netSeconds = hostSeconds(net_ticks);
-    result.profile.commitSeconds = hostSeconds(commit_ticks);
-    result.profile.netopsSeconds = hostSeconds(netops_ticks);
-    result.profile.steppedCycles = stepped;
-    result.profile.skippedCycles = idleSkipped_ - skipped_at_entry;
-    result.footprintBytes = footprintBytes();
-    result.counters = counters_.snapshot();
-    return result;
-}
-
-void
-JMachine::stepShard(unsigned shard, unsigned shards, std::size_t n,
-                    Cycle horizon, bool exclusive)
-{
-    const std::size_t begin = n * shard / shards;
-    const std::size_t end = n * (shard + 1) / shards;
-    unsigned newly_halted = 0;
-    std::uint64_t steps = 0, skips = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-        const NodeId id = activeNodes_[i];
-        // Doze entries are only written by the shard that owns the
-        // node's slot this cycle and only cleared at the barrier
-        // (mergePendingWakes), so the check is race-free.
-        if (now_ < dozeUntil_[id]) {
-            skips += 1;
-            stillActive_[i] = 1;
-            continue;
-        }
-        Node &node = nodes_[id];
-        steps += 1;
-        if (node.step(now_, horizon, exclusive)) {
-            // Parking mutates the shared wake heap, so it is deferred
-            // to the barrier: record the doze horizon and mark the
-            // slot. A wake buffered this cycle clears dozeUntil_ at
-            // the merge, which cancels the park.
-            const Cycle doze = node.dozeHint(now_);
-            dozeUntil_[id] = doze;
-            stillActive_[i] =
-                doze != 0 && config_.wakeScheduler ? 2 : 1;
-            continue;
-        }
-        stillActive_[i] = 0;
-        activeFlag_[id] = 0;
-        node.processor().noteSleep(now_);
-        if (node.processor().halted() && !haltedFlag_[id]) {
-            haltedFlag_[id] = 1;
-            ++newly_halted;
-        }
-    }
-    shardHalted_[shard] = newly_halted;
-    shardSteps_[shard] = steps;
-    shardSkipped_[shard] = skips;
-}
-
-RunResult
-JMachine::runThreaded(Cycle max_cycles, unsigned shards)
-{
-    if (!pool_ || pool_->shards() != shards)
-        pool_ = std::make_unique<ThreadPool>(shards);
-    shardHalted_.assign(shards, 0);
-    shardSteps_.assign(shards, 0);
-    shardSkipped_.assign(shards, 0);
-    pendingWakes_.resize(shards);
-    net_.beginStaging(shards);
-    if (netops_)
-        netops_->setStageShards(shards);
-    if (tracer_)
-        tracer_->ensureShards(shards);
-
-    RunResult result;
-    result.reason = StopReason::CycleLimit;
-    std::uint64_t node_ticks = 0, net_ticks = 0, commit_ticks = 0;
-    std::uint64_t netops_ticks = 0;
-    std::uint64_t stepped = 0;
-    const Cycle skipped_at_entry = idleSkipped_;
-    bool stopped = false;
-    while (!stopped && now_ < max_cycles) {
-        if (config_.idleSkip) {
-            maybeIdleSkip(max_cycles);
-            if (now_ >= max_cycles)
-                break;
-        }
-        if (!wakeHeap_.empty())
-            wakeDueNodes();
-        const std::size_t n = activeNodes_.size();
-        stillActive_.resize(n);
-        const std::uint64_t t0 = hostTicks();
-        // Same exclusivity proof as the serial kernel; with one active
-        // node only one shard has work, so the flag is race-free.
-        const bool exclusive = activeNodes_.size() == 1 &&
-                               parkedCount_ == 0 && !net_.anyActive() &&
-                               (!netops_ || netops_->idle());
-        skippedNodeSteps_ += parkedCount_;
-        // Fork A: node stepping fused with the fabric's pull phase.
-        // The pull only reads channel outputs committed last cycle
-        // (each owned by a router in the pulling shard's slab), so it
-        // cannot interact with the concurrently stepping nodes.
-        inParallel_ = true;
-        pool_->run([this, n, shards, max_cycles, exclusive](unsigned shard) {
-            stepShard(shard, shards, n, max_cycles, exclusive);
-            net_.pullShard(shard);
-        });
-        inParallel_ = false;
-        const std::uint64_t t1 = hostTicks();
-        for (unsigned s = 0; s < shards; ++s) {
-            haltedCount_ += shardHalted_[s];
-            shardHalted_[s] = 0;
-            nodeSteps_ += shardSteps_[s];
-            shardSteps_[s] = 0;
-            skippedNodeSteps_ += shardSkipped_[s];
-            shardSkipped_[s] = 0;
-        }
-        // Barrier bookkeeping, all on the main thread: apply buffered
-        // wakes (appended past n, like the serial loop), park nodes
-        // the shards marked (a buffered wake cancels the park by
-        // clearing dozeUntil_), compact the survivors, then commit
-        // staged injections in node-id order.
-        mergePendingWakes();
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!stillActive_[i])
-                continue;
-            const NodeId id = activeNodes_[i];
-            if (stillActive_[i] == 2 && dozeUntil_[id] > now_)
-                parkNode(id, dozeUntil_[id]);
-            else
-                activeNodes_[keep++] = id;
-        }
-        for (std::size_t i = n; i < activeNodes_.size(); ++i)
-            activeNodes_[keep++] = activeNodes_[i];
-        activeNodes_.resize(keep);
-
-        net_.commitStaged();
-        const std::uint64_t t2 = hostTicks();
-
-        std::uint64_t t3 = t2, t4 = t2;
-        if (net_.anyActive()) {
-            net_.noteStepBegin();
-            // Fork B: the fabric's move phase per router slab. Writes
-            // go only to channel `next` registers (unique upstream
-            // owner) and the slab's own delivery sinks; delivery wakes
-            // are buffered per shard like node-phase wakes.
-            inParallel_ = true;
-            pool_->run([this](unsigned shard) { net_.moveShard(shard, now_); });
-            inParallel_ = false;
-            t3 = hostTicks();
-            mergePendingWakes();
-            net_.commitPhase(now_);
-            t4 = hostTicks();
-        } else {
-            net_.noteQuietCycles(1);
-        }
-        // The netops engine steps on the main thread after both forks,
-        // exactly where the serial kernel steps it: staged issues from
-        // the node phase commit in canonical (src, seq) order and any
-        // reply deliveries land through the normal DeliverSink path.
-        if (netops_) {
-            netops_->step(now_);
-            netops_ticks += hostTicks() - t4;
-        }
-        net_.pool().sampleHighWater();
-        stepped += 1;
-        now_ += 1;
-        node_ticks += t1 - t0;
-        commit_ticks += (t2 - t1) + (t4 - t3);
-        net_ticks += t3 - t2;
-
-        if (haltedCount_ == nodeCount()) {
-            result.reason = StopReason::AllHalted;
-            stopped = true;
-        } else if (activeNodes_.empty() && parkedCount_ == 0 &&
-                   !net_.anyActive() && (!netops_ || netops_->idle())) {
-            result.reason = StopReason::Quiescent;
-            stopped = true;
-        }
-    }
-    result.cycles = now_;
-    net_.endStaging();
     result.profile.nodeSeconds = hostSeconds(node_ticks);
     result.profile.netSeconds = hostSeconds(net_ticks);
     result.profile.commitSeconds = hostSeconds(commit_ticks);
@@ -690,17 +457,10 @@ JMachine::footprintBytes() const
     // Kernel bookkeeping: the per-node arrays and the wake machinery.
     total += activeNodes_.capacity() * sizeof(NodeId) +
              activeFlag_.capacity() + parkedFlag_.capacity() +
-             haltedFlag_.capacity() + stillActive_.capacity() +
+             haltedFlag_.capacity() +
              dozeUntil_.capacity() * sizeof(Cycle) +
              wakeHeap_.capacity() * sizeof(Wake) +
-             heapPos_.capacity() * sizeof(std::uint32_t) +
-             wakeScratch_.capacity() * sizeof(NodeId) +
-             shardHalted_.capacity() * sizeof(unsigned) +
-             shardSteps_.capacity() * sizeof(std::uint64_t) +
-             shardSkipped_.capacity() * sizeof(std::uint64_t) +
-             pendingWakes_.capacity() * sizeof(pendingWakes_[0]);
-    for (const auto &q : pendingWakes_)
-        total += q.capacity() * sizeof(NodeId);
+             heapPos_.capacity() * sizeof(std::uint32_t);
     return total;
 }
 
@@ -783,8 +543,6 @@ JMachine::configDigest() const
 void
 JMachine::save(ckpt::Snapshot &out) const
 {
-    if (inParallel_)
-        panic("checkpoint: save called from inside the parallel phase");
     ckpt::Writer w;
     const unsigned n = nodeCount();
 
@@ -820,10 +578,10 @@ JMachine::save(ckpt::Snapshot &out) const
 
     // ---- pool section: every live message, by dense ordinal ----
     // Handles are pool-allocation names (free-list order depends on the
-    // shard count), so collection order defines the ordinals: per node
-    // in id order (NI send rings, bounce buffers), then the fabric
-    // (router FIFOs in port/vn order, then channel registers). The
-    // same handle can appear many times (one per flit); the first
+    // allocation history), so collection order defines the ordinals:
+    // per node in id order (NI send rings, bounce buffers), then the
+    // fabric (router FIFOs in port/vn order, then channel registers).
+    // The same handle can appear many times (one per flit); the first
     // sighting assigns its ordinal.
     std::vector<MsgHandle> held;
     for (unsigned id = 0; id < n; ++id)
@@ -939,12 +697,13 @@ JMachine::restore(const ckpt::Snapshot &snap, std::string *err)
     rebuildWakeQueue();
 
     // ---- pool section ----
-    // Rebuild the pool from scratch on the calling (main) shard so the
-    // restored free-list state is independent of how the saving side
-    // had sharded its allocations.
+    // Rebuild the pool from scratch so the restored free-list state is
+    // independent of the saving side's allocation history.
     MessagePool &pool = net_.pool();
     pool.resetAll();
-    const std::uint32_t msgCount = r.u32();
+    // A message record holds at least its 38 bytes of fixed fields;
+    // each payload word adds 5.
+    const std::uint32_t msgCount = r.count(38);
     ckpt::HandleMap map;
     map.toHandle.reserve(msgCount);
     for (std::uint32_t i = 0; i < msgCount; ++i) {
@@ -956,7 +715,7 @@ JMachine::restore(const ckpt::Snapshot &snap, std::string *err)
         msg.destAddr.y = r.u8();
         msg.destAddr.z = r.u8();
         msg.priority = r.u8();
-        const std::uint32_t wordCount = r.u32();
+        const std::uint32_t wordCount = r.count(5);
         msg.words.reserve(wordCount);
         for (std::uint32_t j = 0; j < wordCount; ++j)
             msg.words.push_back(r.word());
@@ -985,13 +744,6 @@ JMachine::restore(const ckpt::Snapshot &snap, std::string *err)
     if (r.remaining() != 0)
         fatal("checkpoint: " + std::to_string(r.remaining()) +
               " trailing bytes after the image");
-
-    // Transient threaded-kernel state never crosses a snapshot: the
-    // next runThreaded() re-establishes its own staging.
-    inParallel_ = false;
-    for (auto &shard : pendingWakes_)
-        shard.clear();
-    wakeScratch_.clear();
 
     // The image may carry parked nodes from a scheduler-on saver; a
     // scheduler-off kernel tracks dozing nodes on the step list

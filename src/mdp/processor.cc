@@ -1881,7 +1881,7 @@ Processor::restore(ckpt::Reader &r)
     for (IAddr &e : handlerEntry_)
         e = r.u32();
     hostOut_.clear();
-    const std::uint32_t outCount = r.u32();
+    const std::uint32_t outCount = r.count(5);
     hostOut_.reserve(outCount);
     for (std::uint32_t i = 0; i < outCount; ++i)
         hostOut_.push_back(r.word());

@@ -5,7 +5,6 @@
 
 #include "ckpt/snapshot.hh"
 #include "sim/logging.hh"
-#include "sim/thread_pool.hh"
 #include "trace/counter_registry.hh"
 #include "trace/tracer.hh"
 
@@ -49,7 +48,6 @@ MeshNetwork::MeshNetwork(const MeshDims &dims)
     : dims_(dims),
       routers_(dims.nodes()),
       channels_(static_cast<std::size_t>(dims.nodes()) * kNumDirs),
-      routerShard_(dims.nodes(), 0),
       activeFlag_(dims.nodes(), 0),
       busyHint_(dims.nodes(), 0)
 {
@@ -77,8 +75,8 @@ MeshNetwork::MeshNetwork(const MeshDims &dims)
                 static_cast<Direction>(oppositeDir(dir)), &ch);
         }
     }
-    commitBits_.assign((channels_.size() + 63) / 64, 0);
-    setShards(1);
+    active_.reserve(dims.nodes());
+    touched_.assign((channels_.size() + 63) / 64);
 }
 
 void
@@ -120,8 +118,8 @@ MeshNetwork::registerCounters(CounterRegistry &reg)
         reg.addCounter("net.flits_delivered", &r.stats().flitsDelivered);
         reg.addCounter("net.inject_stalls", &r.stats().injectStalls);
     }
-    // The pool's per-shard counters re-shard between runs, so they go
-    // through reader callbacks instead of pointers.
+    // The pool reports through stats(), which also derives liveNow and
+    // capacity, so its counters go through reader callbacks.
     reg.addCounter("pool.allocs",
                    [this] { return pool_.stats().allocs; });
     reg.addCounter("pool.recycled",
@@ -134,48 +132,6 @@ MeshNetwork::registerCounters(CounterRegistry &reg)
                    [this] { return pool_.stats().capacity; });
     reg.addHistogram("net.latency_cycles",
                      [this] { return latencyHistogram(); });
-}
-
-Histogram
-MeshNetwork::latencyHistogram() const
-{
-    Histogram merged{1, kLatencyHistBuckets};
-    for (const Shard &sh : shards_)
-        merged.merge(sh.latency);
-    return merged;
-}
-
-void
-MeshNetwork::setShards(unsigned shards)
-{
-    if (shards < 1)
-        shards = 1;
-    // Gather the live active set before the bins move under it, and
-    // fold the latency samples of shards about to be dropped. The
-    // back-pressure retry list is unsharded (main-thread only), so it
-    // survives re-sharding untouched.
-    std::vector<NodeId> live;
-    live.reserve(activeCount_);
-    for (Shard &sh : shards_) {
-        live.insert(live.end(), sh.active.begin(), sh.active.end());
-        sh.active.clear();
-    }
-    for (std::size_t s = shards; s < shards_.size(); ++s) {
-        shards_[0].latency.merge(shards_[s].latency);
-        shards_[s].latency.reset();
-    }
-    const NodeId n = dims_.nodes();
-    shards_.resize(shards);
-    for (NodeId id = 0; id < n; ++id)
-        routerShard_[id] = static_cast<std::uint16_t>(
-            static_cast<std::uint64_t>(id) * shards / n);
-    for (Shard &sh : shards_) {
-        sh.active.reserve(n / shards + 1);
-        sh.touched.assign((channels_.size() + 63) / 64);
-    }
-    for (const NodeId id : live)
-        shards_[routerShard_[id]].active.push_back(id);
-    pool_.setShards(shards);
 }
 
 void
@@ -193,62 +149,8 @@ MeshNetwork::injectFlit(NodeId id, Flit flit)
         flit.route[1] = encodeRouteHops(src.y, dst.y);
         flit.route[2] = encodeRouteHops(src.z, dst.z);
     }
-    if (staging_) {
-        // Parallel node phase: only the shard stepping node id injects
-        // into router id, so the per-(node, vn) counter needs no
-        // locking.
-        stagedInject_[id * kNumVns + flit.vn] += 1;
-        staged_[ThreadPool::currentShard()].push_back({id, flit});
-        return;
-    }
     routers_[id].inject(flit);
     activate(id);
-}
-
-void
-MeshNetwork::beginStaging(unsigned shards)
-{
-    staging_ = true;
-    staged_.resize(shards);
-    stagedInject_.assign(static_cast<std::size_t>(dims_.nodes()) * kNumVns,
-                         0);
-    setShards(shards);
-}
-
-void
-MeshNetwork::commitStaged()
-{
-    commitScratch_.clear();
-    for (auto &queue : staged_) {
-        for (auto &entry : queue)
-            commitScratch_.push_back(entry);
-        queue.clear();
-    }
-    if (commitScratch_.empty())
-        return;
-    // Each node's flits sit in one shard's queue in injection order, so
-    // a stable sort by node id reproduces the serial commit order.
-    std::stable_sort(commitScratch_.begin(), commitScratch_.end(),
-                     [](const StagedFlit &a, const StagedFlit &b) {
-                         return a.id < b.id;
-                     });
-    for (auto &entry : commitScratch_) {
-        stagedInject_[entry.id * kNumVns + entry.flit.vn] = 0;
-        routers_[entry.id].inject(entry.flit);
-        activate(entry.id);
-    }
-    commitScratch_.clear();
-}
-
-void
-MeshNetwork::endStaging()
-{
-    for (const auto &queue : staged_) {
-        if (!queue.empty())
-            panic("MeshNetwork::endStaging with uncommitted flits");
-    }
-    staging_ = false;
-    setShards(1);
 }
 
 void
@@ -275,30 +177,26 @@ MeshNetwork::retryPulls()
 }
 
 void
-MeshNetwork::pullShard(unsigned s)
+MeshNetwork::pullPhase()
 {
-    if (eventDriven_)
-        return;  // the commit phase already pushed every visible flit
-    Shard &sh = shards_[s];
-    // Index-based with a snapshot length: in the serial kernel a
-    // delivery callback can inject (and so activate) mid-phase, which
-    // appends to the bin being walked.
-    const std::size_t n = sh.active.size();
+    // Index-based with a snapshot length: a delivery callback can
+    // inject (and so activate) mid-phase, which appends to the bin
+    // being walked.
+    const std::size_t n = active_.size();
     for (std::size_t i = 0; i < n; ++i)
-        routers_[sh.active[i]].pullPhase();
+        routers_[active_[i]].pullPhase();
 }
 
 void
-MeshNetwork::moveShard(unsigned s, Cycle now)
+MeshNetwork::movePhase(Cycle now)
 {
-    Shard &sh = shards_[s];
-    const std::size_t n = sh.active.size();
+    const std::size_t n = active_.size();
     for (std::size_t i = 0; i < n; ++i) {
-        const NodeId id = sh.active[i];
+        const NodeId id = active_[i];
         Router &r = routers_[id];
-        r.movePhase(now, sh.touched);
+        r.movePhase(now, touched_);
         // Record the busy verdict while the router is hot in cache;
-        // the commit-phase compaction reads only this byte array.
+        // the compaction reads only this byte array.
         busyHint_[id] =
             r.residentFlits() > 0 || r.hasPendingInput() ? 1 : 0;
     }
@@ -307,10 +205,9 @@ MeshNetwork::moveShard(unsigned s, Cycle now)
 void
 MeshNetwork::noteMessageDelivered(const Message &msg)
 {
-    Shard &sh = shards_[ThreadPool::currentShard()];
-    sh.messagesDelivered += 1;
-    sh.wordsDelivered += msg.words.size();
-    sh.latency.add(msg.deliverCycle - msg.injectCycle);
+    pendingMessages_ += 1;
+    pendingWords_ += msg.words.size();
+    latency_.add(msg.deliverCycle - msg.injectCycle);
 }
 
 void
@@ -352,92 +249,38 @@ MeshNetwork::commitWord(std::size_t w, std::uint64_t bits)
 }
 
 void
+MeshNetwork::compactActive()
+{
+    // Keep only routers that still have (or are about to have) work.
+    // busyHint_ was settled by the move loop (routers woken during the
+    // commit loop had their hint re-raised), so the scan stays inside
+    // two contiguous byte arrays — no Router objects touched.
+    std::size_t keep = 0;
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+        const NodeId id = active_[i];
+        if (busyHint_[id])
+            active_[keep++] = id;
+        else
+            activeFlag_[id] = 0;
+    }
+    active_.resize(keep);
+}
+
+void
 MeshNetwork::commitPhase(Cycle now)
 {
     (void)now;
-    const std::size_t words = commitBits_.size();
-    for (Shard &sh : shards_) {
-        stats_.messagesDelivered += sh.messagesDelivered;
-        stats_.wordsDelivered += sh.wordsDelivered;
-        sh.messagesDelivered = 0;
-        sh.wordsDelivered = 0;
+    foldDeliveries();
+    // Legacy full-scan path (`--net-sched off`): scan every bitmap word
+    // every cycle, committing in ascending channel index.
+    const std::size_t words = touched_.words();
+    for (std::size_t w = 0; w < words; ++w) {
+        const std::uint64_t bits = touched_.takeWord(w);
+        if (bits != 0)
+            commitWord(w, bits);
     }
-
-    // Commit only the channel pipeline registers written by this
-    // cycle's moves, in ascending channel-index order — the same
-    // commit order the serial kernel produces, independent of how
-    // routers were sharded.
-    if (eventDriven_) {
-        // Back-pressured pushes first: their FIFOs may have drained in
-        // this cycle's move phase. (Order against the fresh commits is
-        // immaterial — the channel sets are disjoint and pushes are
-        // commutative.)
-        if (!retryPull_.empty())
-            retryPulls();
-        // Merge the shards' dirty-word lists: cost proportional to the
-        // channels written this cycle, not to the mesh size. A word can
-        // be dirty in two slabs only at a slab boundary; pushing on the
-        // union's 0->nonzero transition dedups it.
-        commitWords_.clear();
-        for (Shard &sh : shards_) {
-            for (const std::uint32_t w : sh.touched.dirtyWords()) {
-                if (commitBits_[w] == 0)
-                    commitWords_.push_back(w);
-                commitBits_[w] |= sh.touched.takeWord(w);
-            }
-            sh.touched.clearDirty();
-        }
-        if (commitWords_.size() * 4 >= words) {
-            // Saturated cycle: most words are dirty, so the ascending
-            // full scan beats sorting the list — same visit order.
-            for (std::size_t w = 0; w < words; ++w) {
-                if (commitBits_[w] != 0) {
-                    commitWord(w, commitBits_[w]);
-                    commitBits_[w] = 0;
-                }
-            }
-        } else {
-            std::sort(commitWords_.begin(), commitWords_.end());
-            for (const std::uint32_t w : commitWords_) {
-                commitWord(w, commitBits_[w]);
-                commitBits_[w] = 0;
-            }
-        }
-    } else {
-        // Legacy full-scan path (`--net-sched off`): union and scan
-        // every bitmap word every cycle.
-        for (Shard &sh : shards_) {
-            for (std::size_t w = 0; w < words; ++w)
-                commitBits_[w] |= sh.touched.takeWord(w);
-            sh.touched.clearDirty();
-        }
-        for (std::size_t w = 0; w < words; ++w) {
-            const std::uint64_t bits = commitBits_[w];
-            commitBits_[w] = 0;
-            if (bits != 0)
-                commitWord(w, bits);
-        }
-    }
-
-    // Keep only routers that still have (or are about to have) work.
-    // busyHint_ was settled by moveShard (routers woken during the
-    // commit loop above had their hint re-raised), so the scan stays
-    // inside two contiguous byte arrays — no Router objects touched.
-    std::size_t total = 0;
-    for (Shard &sh : shards_) {
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < sh.active.size(); ++i) {
-            const NodeId id = sh.active[i];
-            if (busyHint_[id]) {
-                sh.active[keep++] = id;
-            } else {
-                activeFlag_[id] = 0;
-            }
-        }
-        sh.active.resize(keep);
-        total += keep;
-    }
-    activeCount_ = total;
+    touched_.clearDirty();
+    compactActive();
 }
 
 void
@@ -445,74 +288,45 @@ MeshNetwork::step(Cycle now)
 {
     if (!anyActive())
         return;
-    const unsigned shards = shardCount();
-    for (unsigned s = 0; s < shards; ++s)
-        pullShard(s);
-    for (unsigned s = 0; s < shards; ++s)
-        moveShard(s, now);
+    if (eventDriven_) {
+        stepFast(now);
+        return;
+    }
+    pullPhase();
+    movePhase(now);
     commitPhase(now);
 }
 
 void
 MeshNetwork::stepFast(Cycle now)
 {
-    // Fused serial step for sparse cycles (fastPathEligible): the same
-    // move-all, commit-all phase order as the sharded path — a single
-    // pass per phase keeps the phased semantics (every move lands
-    // before any commit) while skipping the shard orchestration, the
-    // cross-shard bitmap union, and the per-shard counter folds. There
-    // is no pull pass: the previous commit already pushed every
+    // The same move-all, commit-all phase order as the legacy path —
+    // every move lands before any commit — in one pass per phase.
+    // There is no pull pass: the previous commit already pushed every
     // visible flit (see the file comment in mesh_network.hh).
-    Shard &sh = shards_[0];
+    movePhase(now);
+    foldDeliveries();
 
-    // Snapshot length: a delivery callback can activate mid-loop,
-    // appending to the bin being walked.
-    const std::size_t n = sh.active.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const NodeId id = sh.active[i];
-        Router &r = routers_[id];
-        r.movePhase(now, sh.touched);
-        busyHint_[id] =
-            r.residentFlits() > 0 || r.hasPendingInput() ? 1 : 0;
-    }
-    stats_.messagesDelivered += sh.messagesDelivered;
-    stats_.wordsDelivered += sh.wordsDelivered;
-    sh.messagesDelivered = 0;
-    sh.wordsDelivered = 0;
-
-    // Commit straight off the single shard's dirty words — sorting the
-    // word list reproduces the ascending channel-index commit order; on
-    // a saturated cycle (most words dirty) the ascending full scan is
+    // Commit straight off the dirty words — sorting the word list
+    // reproduces the ascending channel-index commit order; on a
+    // saturated cycle (most words dirty) the ascending full scan is
     // cheaper than the sort and visits the same bits in the same order.
     if (!retryPull_.empty())
         retryPulls();
-    auto &dirty = sh.touched.dirtyWords();
-    const std::size_t words = sh.touched.words();
+    auto &dirty = touched_.dirtyWords();
+    const std::size_t words = touched_.words();
     if (dirty.size() * 4 >= words) {
         for (std::size_t w = 0; w < words; ++w) {
-            if (sh.touched.word(w) != 0)
-                commitWord(w, sh.touched.takeWord(w));
+            if (touched_.word(w) != 0)
+                commitWord(w, touched_.takeWord(w));
         }
     } else {
         std::sort(dirty.begin(), dirty.end());
         for (const std::uint32_t w : dirty)
-            commitWord(w, sh.touched.takeWord(w));
+            commitWord(w, touched_.takeWord(w));
     }
-    sh.touched.clearDirty();
-
-    // Compact the active bin exactly as commitPhase does (routers woken
-    // by the commit loop had their hint re-raised).
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < sh.active.size(); ++i) {
-        const NodeId id = sh.active[i];
-        if (busyHint_[id]) {
-            sh.active[keep++] = id;
-        } else {
-            activeFlag_[id] = 0;
-        }
-    }
-    sh.active.resize(keep);
-    activeCount_ = keep;
+    touched_.clearDirty();
+    compactActive();
 }
 
 bool
@@ -535,8 +349,7 @@ MeshNetwork::resetStats()
     stats_ = NetworkStats{};
     for (auto &r : routers_)
         r.resetStats();
-    for (auto &sh : shards_)
-        sh.latency.reset();
+    latency_.reset();
     pool_.resetStats();
 }
 
@@ -551,25 +364,14 @@ MeshNetwork::bisectionCapacityBitsPerSec() const
 std::uint64_t
 MeshNetwork::footprintBytes() const
 {
-    std::uint64_t total = routers_.capacity() * sizeof(Router) +
-                          channels_.capacity() * sizeof(Channel) +
-                          shards_.capacity() * sizeof(Shard) +
-                          routerShard_.capacity() * sizeof(std::uint16_t) +
-                          activeFlag_.capacity() + busyHint_.capacity() +
-                          stagedInject_.capacity() +
-                          commitScratch_.capacity() * sizeof(StagedFlit) +
-                          commitBits_.capacity() * sizeof(std::uint64_t) +
-                          commitWords_.capacity() * sizeof(std::uint32_t) +
-                          retryPull_.capacity() * sizeof(std::uint32_t);
-    for (const Shard &sh : shards_) {
-        total += sh.active.capacity() * sizeof(NodeId) +
-                 sh.touched.footprintBytes() +
-                 sh.latency.buckets().capacity() * sizeof(std::uint64_t);
-    }
-    total += staged_.capacity() * sizeof(staged_[0]);
-    for (const auto &q : staged_)
-        total += q.capacity() * sizeof(StagedFlit);
-    return total + pool_.footprintBytes();
+    return routers_.capacity() * sizeof(Router) +
+           channels_.capacity() * sizeof(Channel) +
+           active_.capacity() * sizeof(NodeId) +
+           touched_.footprintBytes() +
+           latency_.buckets().capacity() * sizeof(std::uint64_t) +
+           activeFlag_.capacity() + busyHint_.capacity() +
+           retryPull_.capacity() * sizeof(std::uint32_t) +
+           pool_.footprintBytes();
 }
 
 // ---- checkpointing --------------------------------------------------
@@ -677,8 +479,6 @@ MeshNetwork::rebuildUndrainedTracking()
 void
 MeshNetwork::save(ckpt::Writer &w, const ckpt::HandleMap &map) const
 {
-    if (staging_)
-        panic("MeshNetwork::save while staging (mid-threaded-cycle)");
     for (const Router &router : routers_)
         router.save(w, map);
     for (const Channel &ch : channels_)
@@ -693,17 +493,12 @@ MeshNetwork::save(ckpt::Writer &w, const ckpt::HandleMap &map) const
     w.u64(stats_.wordsDelivered);
     w.u64(stats_.bisectionFlitsPos);
     w.u64(stats_.bisectionFlitsNeg);
-    // Latency samples merged across shards: the shard split is a host
-    // concern and the merge is commutative, so one folded histogram is
-    // the canonical architectural value.
-    latencyHistogram().save(w);
+    latency_.save(w);
 }
 
 void
 MeshNetwork::restore(ckpt::Reader &r, const ckpt::HandleMap &map)
 {
-    if (staging_)
-        panic("MeshNetwork::restore while staging (mid-threaded-cycle)");
     for (Router &router : routers_)
         router.restore(r, map);
     for (Channel &ch : channels_)
@@ -711,20 +506,15 @@ MeshNetwork::restore(ckpt::Reader &r, const ckpt::HandleMap &map)
     const NodeId n = dims_.nodes();
     for (NodeId id = 0; id < n; ++id)
         activeFlag_[id] = r.u8();
-    // Rebuild the active bins in ascending node id (the order the
-    // serial kernel would have produced) and align the busy hints: a
-    // set hint for an idle router is harmless, a clear one for a busy
-    // router is not, and activeFlag_ covers exactly the routers with
-    // work.
-    activeCount_ = 0;
-    for (Shard &sh : shards_)
-        sh.active.clear();
+    // Rebuild the active bin in ascending node id and align the busy
+    // hints: a set hint for an idle router is harmless, a clear one for
+    // a busy router is not, and activeFlag_ covers exactly the routers
+    // with work.
+    active_.clear();
     for (NodeId id = 0; id < n; ++id) {
         busyHint_[id] = activeFlag_[id];
-        if (activeFlag_[id]) {
-            shards_[routerShard_[id]].active.push_back(id);
-            ++activeCount_;
-        }
+        if (activeFlag_[id])
+            active_.push_back(id);
     }
     // A committed-but-undrained channel flit (visible cur_) is tracked
     // by whichever side the fabric scheduler mode makes responsible;
@@ -738,16 +528,12 @@ MeshNetwork::restore(ckpt::Reader &r, const ckpt::HandleMap &map)
     stats_.wordsDelivered = r.u64();
     stats_.bisectionFlitsPos = r.u64();
     stats_.bisectionFlitsNeg = r.u64();
-    // All samples land in shard 0; per-shard split is host-side only.
-    for (Shard &sh : shards_)
-        sh.latency.reset();
-    shards_[0].latency.restore(r);
+    latency_.reset();
+    latency_.restore(r);
+    pendingMessages_ = 0;
+    pendingWords_ = 0;
     // Per-cycle scratch is empty between cycles by construction.
-    for (Shard &sh : shards_) {
-        sh.messagesDelivered = 0;
-        sh.wordsDelivered = 0;
-        sh.touched.assign(sh.touched.words());
-    }
+    touched_.assign(touched_.words());
 }
 
 } // namespace jmsim

@@ -9,27 +9,17 @@
  * positive direction, at 36 bits per word, against a one-direction
  * capacity of width * 0.5 words/cycle.
  *
- * Execution is split into three phases so the threaded kernel can
- * shard the fabric over contiguous node-id slabs (setShards):
+ * A legacy-mode cycle (MachineConfig::netScheduler off) runs three
+ * phases over the active routers:
  *
- *   pullShard(s)  — drain last cycle's committed channel outputs into
- *                   the slab's router FIFOs. Only reads channel `cur`
- *                   registers, each owned by its downstream router.
- *   moveShard(s)  — arbitrate and move flits. Writes only channel
- *                   `next` registers (each owned by its unique
- *                   upstream router) and the slab's own delivery
- *                   sinks; written channels are recorded per shard.
- *   commitPhase() — main thread, at the barrier: advance the written
- *                   pipeline registers in channel-index order, wake
- *                   downstream routers, count bisection crossings,
- *                   fold per-shard delivery counters, compact the
- *                   active bins.
- *
- * The one-flit channel pipeline register is the synchronization
- * boundary: within a phase no two shards touch the same field, and the
- * phases are separated by the kernel's cycle barrier, so a sharded run
- * is bit-identical to the serial one (step() runs the same three
- * phases inline with a single shard).
+ *   pullPhase()   — drain last cycle's committed channel outputs into
+ *                   the router input FIFOs.
+ *   movePhase()   — arbitrate and move flits. Writes go to channel
+ *                   `next` registers and the routers' delivery sinks;
+ *                   written channels are marked in a bitmap.
+ *   commitPhase() — advance the written pipeline registers in
+ *                   channel-index order, wake downstream routers,
+ *                   count bisection crossings, compact the active bin.
  *
  * In the event-driven mode (MachineConfig::netScheduler, default on)
  * the pull phase disappears entirely: commitPhase pushes each committed
@@ -42,7 +32,8 @@
  * leaves the flit visible in the channel and parks the channel index on
  * retryPull_, which is retried each commit — the same cycle the legacy
  * pull would first succeed. Cost per cycle is therefore proportional
- * to flits moved, with no per-cycle scan of routers or channels.
+ * to flits moved, with no per-cycle scan of routers or channels; the
+ * whole event-mode cycle runs as one fused pass (stepFast).
  */
 
 #ifndef JMSIM_NET_MESH_NETWORK_HH
@@ -111,10 +102,11 @@ class MeshNetwork
     /** Register fabric, router, pool, and latency stats by name. */
     void registerCounters(CounterRegistry &reg);
 
-    /** Per-message inject->deliver latency, merged across shards. */
-    Histogram latencyHistogram() const;
+    /** Per-message inject->deliver latency. */
+    const Histogram &latencyHistogram() const { return latency_; }
 
-    /** Advance the fabric by one cycle (serial: all phases inline). */
+    /** Advance the fabric by one cycle: stepFast in the event-driven
+     *  mode, the three legacy phases otherwise. */
     void step(Cycle now);
 
     // ---- event-driven fabric scheduling (MachineConfig::netScheduler) ----
@@ -141,27 +133,14 @@ class MeshNetwork
     Cycle
     nextEventCycle(Cycle now) const
     {
-        return activeCount_ != 0 ? now + 1 : kNoFabricEvent;
+        return !active_.empty() ? now + 1 : kNoFabricEvent;
     }
 
-    /** May the serial kernel run the fused single-pass fast path this
-     *  cycle? Requires the event-driven mode and an unsharded fabric —
-     *  the fused step then strictly dominates the sharded sequence (it
-     *  runs the same phases over the same sets minus the cross-shard
-     *  bitmap union, and its commit makes the same sort-vs-scan choice
-     *  the sharded commit does). */
-    bool
-    fastPathEligible() const
-    {
-        return eventDriven_ && shards_.size() == 1;
-    }
-
-    /** Fused serial step: pull worklist, move the active routers, and
-     *  commit shard 0's dirty words inline — one pass, no cross-shard
-     *  union, no histogram folding beyond shard 0. Bit-identical to
-     *  pullShard(0)+moveShard(0)+commitPhase() by construction: the
-     *  three sub-loops run in the same phase order over the same sets,
-     *  and the commit still applies in ascending channel index. */
+    /** Event-driven step: move the active routers, then retry the
+     *  back-pressured pushes and commit the dirty words in ascending
+     *  channel index (each commit pushes its flit straight into the
+     *  downstream FIFO), then compact the active bin. Bit-identical to
+     *  the legacy pullPhase+movePhase+commitPhase sequence. */
     void stepFast(Cycle now);
 
     /** Account one stepped fabric cycle: the active routers were
@@ -169,8 +148,8 @@ class MeshNetwork
     void
     noteStepBegin()
     {
-        routerSteps_ += activeCount_;
-        skippedRouterSteps_ += dims_.nodes() - activeCount_;
+        routerSteps_ += active_.size();
+        skippedRouterSteps_ += dims_.nodes() - active_.size();
     }
 
     /** Account @p cycles fabric-quiet cycles (single unticked-fabric
@@ -186,71 +165,38 @@ class MeshNetwork
         eventSkippedCycles_ += cycles;
     }
 
-    // ---- sharded stepping (threaded kernel) ----
+    // ---- legacy full-scan stepping (netScheduler off) ----
 
-    /** Partition routers into @p shards contiguous node-id slabs and
-     *  size the pool's per-shard free lists (main thread only). */
-    void setShards(unsigned shards);
+    /** Phase 1: pull committed channel flits into the active routers. */
+    void pullPhase();
 
-    unsigned shardCount() const { return static_cast<unsigned>(shards_.size()); }
+    /** Phase 2: arbitrate and move the active routers' flits. */
+    void movePhase(Cycle now);
 
-    /** Phase 1 (parallel): pull committed channel flits into shard
-     *  @p s's active routers. A no-op in the event-driven mode, where
-     *  the commit phase already pushed the flits (see the file
-     *  comment). */
-    void pullShard(unsigned s);
-
-    /** Phase 2 (parallel): arbitrate and move shard @p s's active
-     *  routers; deliveries land in the slab's own sinks. */
-    void moveShard(unsigned s, Cycle now);
-
-    /** Phase 3 (main thread): commit written channels in channel-index
-     *  order, fold per-shard counters, compact the active bins. */
+    /** Phase 3: commit written channels in channel-index order and
+     *  compact the active bin. */
     void commitPhase(Cycle now);
 
-    /** NI-side: may node @p id inject a flit at priority @p vn?
-     *  While staging is enabled, flits staged this cycle count against
-     *  the inject-FIFO capacity. */
+    /** NI-side: may node @p id inject a flit at priority @p vn? */
     bool
     canInject(NodeId id, unsigned vn) const
     {
-        const unsigned free = routers_[id].injectFree(vn);
-        if (!staging_)
-            return free > 0;
-        return free > stagedInject_[id * kNumVns + vn];
+        return routers_[id].canInject(vn);
     }
 
     /** NI-side: push one flit into node @p id's inject port. */
     void injectFlit(NodeId id, Flit flit);
 
-    // ---- staged injection (threaded kernel) ----
-    //
-    // During a threaded run the machine steps nodes in parallel, so
-    // injectFlit buffers into a per-shard staging queue instead of
-    // mutating the shared active list. commitStaged() replays the
-    // buffered flits in node-id order at the cycle barrier, which makes
-    // a threaded run bit-identical to the serial kernel.
-
-    /** Enter staged-injection mode with @p shards worker shards (also
-     *  partitions the fabric and pool: see setShards). */
-    void beginStaging(unsigned shards);
-
-    /** Replay this cycle's staged flits in node-id order. */
-    void commitStaged();
-
-    /** Leave staged-injection mode (staging queues must be empty). */
-    void endStaging();
-
-    /** Called by sinks when a whole message has been delivered. May run
-     *  inside a parallel move phase: counts (and samples the latency
-     *  histogram) per executing shard. */
+    /** Called by sinks when a whole message has been delivered: samples
+     *  the latency histogram and counts the message toward the next
+     *  fabric step's fold (see pendingMessages_). */
     void noteMessageDelivered(const Message &msg);
 
     /** True if any flit is in flight anywhere (exhaustive scan). */
     bool busy() const;
 
-    /** Cheap activity check: any router on an active bin? */
-    bool anyActive() const { return activeCount_ != 0; }
+    /** Cheap activity check: any router on the active bin? */
+    bool anyActive() const { return !active_.empty(); }
 
     const MeshDims &dims() const { return dims_; }
     Router &router(NodeId id) { return routers_[id]; }
@@ -260,8 +206,8 @@ class MeshNetwork
     /** One-direction bisection capacity in bits per second. */
     double bisectionCapacityBitsPerSec() const;
 
-    /** Heap bytes behind the fabric: routers, channels, shard state,
-     *  staging queues, activity arrays, and the message arena. */
+    /** Heap bytes behind the fabric: routers, channels, activity
+     *  arrays, and the message arena. */
     std::uint64_t footprintBytes() const;
 
     /** Live pool handles buffered in routers and channels, appended in
@@ -269,7 +215,7 @@ class MeshNetwork
     void collectHandles(std::vector<MsgHandle> &out) const;
 
     /** Serialize routers, channels, activity state, and fabric
-     *  counters. Must be between cycles with staging off. */
+     *  counters (between cycles). */
     void save(ckpt::Writer &w, const ckpt::HandleMap &map) const;
     void restore(ckpt::Reader &r, const ckpt::HandleMap &map);
 
@@ -281,41 +227,32 @@ class MeshNetwork
      *  a restore and on a live scheduler-mode flip. */
     void rebuildUndrainedTracking();
 
-    /** Put router @p id on its shard's active bin (hot: inlined). */
+    /** Put router @p id on the active bin (hot: inlined). */
     void
     activate(NodeId id)
     {
         if (!activeFlag_[id]) {
             activeFlag_[id] = 1;
             busyHint_[id] = 1;
-            shards_[routerShard_[id]].active.push_back(id);
-            ++activeCount_;
+            active_.push_back(id);
         }
     }
 
-    /** One buffered injection awaiting the cycle barrier. */
-    struct StagedFlit
-    {
-        NodeId id;
-        Flit flit;
-    };
+    /** Drop routers with no work left from the active bin. */
+    void compactActive();
 
-    /** Per-slab state, cache-line separated for the parallel phases. */
-    struct alignas(64) Shard
+    /** Add the deliveries counted since the last fold to stats_. */
+    void
+    foldDeliveries()
     {
-        std::vector<NodeId> active;       ///< routers to step this cycle
-        ChannelBitmap touched;            ///< channels written this cycle
-        std::uint64_t messagesDelivered = 0;  ///< folded at commitPhase
-        std::uint64_t wordsDelivered = 0;
-        /** Inject->deliver cycles of every delivery this shard saw.
-         *  Not folded per cycle (histogram merge is commutative, so
-         *  merging on demand stays deterministic); setShards folds
-         *  dropped shards into shard 0 when shrinking. */
-        Histogram latency{1, kLatencyHistBuckets};
-    };
+        stats_.messagesDelivered += pendingMessages_;
+        stats_.wordsDelivered += pendingWords_;
+        pendingMessages_ = 0;
+        pendingWords_ = 0;
+    }
 
-    /** Retry the back-pressured fused pushes (event mode, main thread,
-     *  at commit time): each entry is a committed channel whose
+    /** Retry the back-pressured fused pushes (event mode, at commit
+     *  time): each entry is a committed channel whose
      *  downstream FIFO was full. Runs before the fresh commits; pushes
      *  are commutative (each targets a distinct (channel, input-FIFO)
      *  pair), so the list order never affects architectural state. */
@@ -332,30 +269,26 @@ class MeshNetwork
     std::vector<Router> routers_;
     /** Channels indexed [node * kNumDirs + dir] = outgoing channel. */
     std::vector<Channel> channels_;
-    std::vector<Shard> shards_;
-    std::vector<std::uint16_t> routerShard_;  ///< slab of each router
-    std::size_t activeCount_ = 0;
+    std::vector<NodeId> active_;  ///< routers to step this cycle
+    ChannelBitmap touched_;        ///< channels written this cycle
+    /** Inject->deliver cycles of every delivered message. */
+    Histogram latency_{1, kLatencyHistBuckets};
+    /** Deliveries not yet in stats_: each fabric step folds them in.
+     *  Replies the netops engine delivers after the fabric step wait
+     *  for the next fabric step, and are never counted if none comes.
+     *  Neither saved nor kept across a restore. */
+    std::uint64_t pendingMessages_ = 0;
+    std::uint64_t pendingWords_ = 0;
     std::vector<std::uint8_t> activeFlag_;
     /** Per-router "still has work" flag for the commit-phase bin
      *  compaction. Written where the router state is already hot in
-     *  cache — by moveShard right after the router's move phase, by the
+     *  cache — by movePhase right after the router's move, by the
      *  commit loop when a channel wake arrives, and by activate() — so
      *  the compaction scan reads one contiguous byte array instead of
      *  chasing two cold fields per Router object. Keeping an idle
      *  router binned one cycle too long is harmless (its phases are
      *  no-ops); the hint is never stale in the dropping direction. */
     std::vector<std::uint8_t> busyHint_;
-    bool staging_ = false;
-    std::vector<std::vector<StagedFlit>> staged_;  ///< per worker shard
-    /** Flits staged this cycle per (node, vn), for canInject. */
-    std::vector<std::uint8_t> stagedInject_;
-    std::vector<StagedFlit> commitScratch_;
-    /** Per-cycle union of the shard bitmaps (legacy full-scan commit
-     *  and the event-driven multi-shard merge both stage here). */
-    std::vector<std::uint64_t> commitBits_;
-    /** Scratch: dirty word indices merged across shards, sorted so the
-     *  commit applies in ascending channel index. */
-    std::vector<std::uint32_t> commitWords_;
     /** Committed channels whose fused push was refused by a full
      *  downstream FIFO; retried each commit. A channel appears at most
      *  once: while its flit is visible the upstream router cannot send

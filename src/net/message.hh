@@ -53,8 +53,8 @@ struct Message
     Cycle deliverCycle = 0;              ///< last word written to the queue
     /** Per-sender sequence number stamped when the message finalizes.
      *  (src, srcSeq) is the stable identity tracing matches send and
-     *  receive events on — pool handles recycle differently per shard
-     *  count, so they cannot name a message deterministically. */
+     *  receive events on — pool handles depend on the pool's free-list
+     *  history, so they cannot name a message deterministically. */
     std::uint32_t srcSeq = 0;
     /** Cut-through: words may still be appended until the sender's
      *  SEND*E executes; only then is the last flit a tail. */

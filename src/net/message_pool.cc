@@ -1,46 +1,22 @@
 #include "net/message_pool.hh"
 
 #include "sim/logging.hh"
-#include "sim/thread_pool.hh"
 
 namespace jmsim
 {
 
-void
-MessagePool::setShards(unsigned shards)
-{
-    if (shards < 1)
-        shards = 1;
-    if (shards < shards_.size()) {
-        // Fold the dropped shards' free lists and counters into shard 0
-        // so no carved slot is stranded.
-        Shard &keep = shards_[0];
-        for (std::size_t s = shards; s < shards_.size(); ++s) {
-            Shard &drop = shards_[s];
-            keep.freeList.insert(keep.freeList.end(), drop.freeList.begin(),
-                                 drop.freeList.end());
-            keep.allocs += drop.allocs;
-            keep.recycled += drop.recycled;
-            keep.released += drop.released;
-            keep.liveDelta += drop.liveDelta;
-        }
-    }
-    shards_.resize(shards);
-}
-
 MsgHandle
 MessagePool::alloc()
 {
-    Shard &shard = shards_[ThreadPool::currentShard()];
-    shard.allocs += 1;
-    shard.liveDelta += 1;
+    allocs_ += 1;
+    live_ += 1;
     MsgHandle handle;
-    if (!shard.freeList.empty()) {
-        handle = shard.freeList.back();
-        shard.freeList.pop_back();
-        shard.recycled += 1;
+    if (!freeList_.empty()) {
+        handle = freeList_.back();
+        freeList_.pop_back();
+        recycled_ += 1;
     } else {
-        handle = grow(shard);
+        handle = grow();
     }
     Message &msg = get(handle);
     msg.src = 0;
@@ -59,48 +35,35 @@ MessagePool::alloc()
 void
 MessagePool::release(MsgHandle handle)
 {
-    Shard &shard = shards_[ThreadPool::currentShard()];
-    shard.released += 1;
-    shard.liveDelta -= 1;
-    shard.freeList.push_back(handle);
+    released_ += 1;
+    live_ -= 1;
+    freeList_.push_back(handle);
 }
 
 MsgHandle
-MessagePool::grow(Shard &shard)
+MessagePool::grow()
 {
-    std::lock_guard<std::mutex> lock(growMutex_);
     if (slabCount_ == kMaxSlabs)
         panic("MessagePool exhausted");
     const std::uint32_t slab = slabCount_;
     slabs_[slab] = std::make_unique<Message[]>(kSlabSize);
     slabCount_ += 1;
     const MsgHandle base = static_cast<MsgHandle>(slab) << kSlabShift;
-    // Hand the first slot to the caller; stack the rest so the shard
-    // pops them in ascending handle order.
-    shard.freeList.reserve(shard.freeList.size() + kSlabSize - 1);
+    // Hand the first slot to the caller; stack the rest so they pop in
+    // ascending handle order.
+    freeList_.reserve(freeList_.size() + kSlabSize - 1);
     for (std::uint32_t i = kSlabSize; i-- > 1;)
-        shard.freeList.push_back(base + i);
+        freeList_.push_back(base + i);
     return base;
-}
-
-std::uint64_t
-MessagePool::live() const
-{
-    std::int64_t live = 0;
-    for (const Shard &shard : shards_)
-        live += shard.liveDelta;
-    return live > 0 ? static_cast<std::uint64_t>(live) : 0;
 }
 
 PoolStats
 MessagePool::stats() const
 {
     PoolStats s;
-    for (const Shard &shard : shards_) {
-        s.allocs += shard.allocs;
-        s.recycled += shard.recycled;
-        s.released += shard.released;
-    }
+    s.allocs = allocs_;
+    s.recycled = recycled_;
+    s.released = released_;
     s.liveNow = live();
     s.liveHighWater = liveHighWater_;
     s.capacity = slabCount_ * kSlabSize;
@@ -110,24 +73,20 @@ MessagePool::stats() const
 void
 MessagePool::resetStats()
 {
-    for (Shard &shard : shards_) {
-        shard.allocs = 0;
-        shard.recycled = 0;
-        shard.released = 0;
-    }
-    liveHighWater_ = live();
+    allocs_ = 0;
+    recycled_ = 0;
+    released_ = 0;
+    liveHighWater_ = live_;
 }
 
 void
 MessagePool::resetAll()
 {
-    for (Shard &shard : shards_) {
-        shard.freeList.clear();
-        shard.allocs = 0;
-        shard.recycled = 0;
-        shard.released = 0;
-        shard.liveDelta = 0;
-    }
+    freeList_.clear();
+    allocs_ = 0;
+    recycled_ = 0;
+    released_ = 0;
+    live_ = 0;
     for (std::uint32_t s = 0; s < slabCount_; ++s)
         slabs_[s].reset();
     slabCount_ = 0;
@@ -139,17 +98,10 @@ MessagePool::restoreCounters(std::uint64_t allocs, std::uint64_t recycled,
                              std::uint64_t released, std::uint64_t liveNow,
                              std::uint64_t liveHighWater)
 {
-    for (std::size_t s = 1; s < shards_.size(); ++s) {
-        shards_[s].allocs = 0;
-        shards_[s].recycled = 0;
-        shards_[s].released = 0;
-        // liveDelta stays: resetAll zeroed it and restore allocations
-        // all ran on the calling (main) shard.
-    }
-    shards_[0].allocs = allocs;
-    shards_[0].recycled = recycled;
-    shards_[0].released = released;
-    shards_[0].liveDelta = static_cast<std::int64_t>(liveNow);
+    allocs_ = allocs;
+    recycled_ = recycled;
+    released_ = released;
+    live_ = liveNow;
     liveHighWater_ = liveHighWater;
 }
 
@@ -162,10 +114,7 @@ MessagePool::footprintBytes() const
         for (std::uint32_t i = 0; i < kSlabSize; ++i)
             total += slabs_[s][i].words.capacity() * sizeof(Word);
     }
-    for (const Shard &shard : shards_)
-        total += shard.freeList.capacity() * sizeof(MsgHandle);
-    total += shards_.capacity() * sizeof(Shard);
-    return total;
+    return total + freeList_.capacity() * sizeof(MsgHandle);
 }
 
 } // namespace jmsim

@@ -10,15 +10,8 @@
  * a traffic-bound run allocates nothing at all — the pool's recycle
  * counters prove it (see tests/message_pool_test.cc).
  *
- * Threading: free lists and counters are per worker shard (indexed by
- * ThreadPool::currentShard()), because allocation happens in the
- * parallel node phase (NI send) and release in the parallel fabric
- * move phase (tail delivery) of the sharded kernel. A shard only ever
- * touches its own free list, and the two phases are separated by the
- * cycle barrier, so no per-message operation takes a lock; only slab
- * growth — which the recycling makes vanishingly rare — serializes.
- * Slab pointers live in a fixed-capacity directory so get() never
- * races a concurrent grow.
+ * Slab pointers live in a fixed-capacity directory, so a handle's
+ * slab never moves once carved.
  */
 
 #ifndef JMSIM_NET_MESSAGE_POOL_HH
@@ -27,7 +20,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "net/message.hh"
@@ -35,7 +27,7 @@
 namespace jmsim
 {
 
-/** Pool observability counters (host-side; reduced over shards). */
+/** Pool observability counters (host-side). */
 struct PoolStats
 {
     std::uint64_t allocs = 0;        ///< messages handed out
@@ -54,20 +46,16 @@ class MessagePool
     static constexpr std::uint32_t kSlabSize = 1u << kSlabShift;
     static constexpr std::uint32_t kMaxSlabs = 1u << 14;  ///< 4M messages
 
-    MessagePool() : shards_(1) {}
+    MessagePool() = default;
 
     MessagePool(const MessagePool &) = delete;
     MessagePool &operator=(const MessagePool &) = delete;
-
-    /** Size the per-shard free lists (main thread, between cycles).
-     *  Shrinking folds the dropped shards' lists into shard 0. */
-    void setShards(unsigned shards);
 
     /** Take a message (recycled when possible). Fields are reset; the
      *  payload vector keeps its capacity. */
     MsgHandle alloc();
 
-    /** Return a message to the calling shard's free list. */
+    /** Return a message to the free list. */
     void release(MsgHandle handle);
 
     Message &
@@ -82,8 +70,8 @@ class MessagePool
         return slabs_[handle >> kSlabShift][handle & (kSlabSize - 1)];
     }
 
-    /** Outstanding handles (call from the main thread at a barrier). */
-    std::uint64_t live() const;
+    /** Outstanding handles. */
+    std::uint64_t live() const { return live_; }
 
     /** Record an end-of-cycle high-water sample of live(). */
     void
@@ -94,7 +82,7 @@ class MessagePool
             liveHighWater_ = l;
     }
 
-    /** Reduce the per-shard counters (main thread, workers idle). */
+    /** The counters, plus the live count and carved capacity. */
     PoolStats stats() const;
 
     /** Zero the counters; live accounting and free lists persist. */
@@ -104,38 +92,29 @@ class MessagePool
      *  live messages are re-alloc()ed from the image afterwards). */
     void resetAll();
 
-    /** Overwrite the folded counters after a restore. The restore path
-     *  re-allocates live messages (bumping shard-0 allocs), so this
-     *  runs last and installs the image's exact values. */
+    /** Overwrite the counters after a restore. The restore path
+     *  re-allocates live messages (bumping allocs), so this runs last
+     *  and installs the image's exact values. */
     void restoreCounters(std::uint64_t allocs, std::uint64_t recycled,
                          std::uint64_t released, std::uint64_t liveNow,
                          std::uint64_t liveHighWater);
 
     /** Heap bytes behind the arena: every carved slab, each slot's
-     *  retained payload capacity, and the per-shard free lists (main
-     *  thread, workers idle — like stats()). */
+     *  retained payload capacity, and the free list. */
     std::uint64_t footprintBytes() const;
 
   private:
-    struct alignas(64) Shard
-    {
-        std::vector<MsgHandle> freeList;
-        std::uint64_t allocs = 0;
-        std::uint64_t recycled = 0;
-        std::uint64_t released = 0;
-        std::int64_t liveDelta = 0;  ///< +1 per alloc, -1 per release
-    };
+    /** Carve a fresh slab onto the free list; returns its first slot. */
+    MsgHandle grow();
 
-    /** Carve a fresh slab into @p shard's free list (takes the lock). */
-    MsgHandle grow(Shard &shard);
-
-    std::vector<Shard> shards_;
-    /** Fixed directory: entries are written once, under growMutex_,
-     *  before any handle into the slab escapes the allocating shard. */
+    std::vector<MsgHandle> freeList_;
     std::array<std::unique_ptr<Message[]>, kMaxSlabs> slabs_;
-    std::uint32_t slabCount_ = 0;  ///< guarded by growMutex_
-    std::mutex growMutex_;
-    std::uint64_t liveHighWater_ = 0;  ///< main thread only
+    std::uint32_t slabCount_ = 0;
+    std::uint64_t allocs_ = 0;
+    std::uint64_t recycled_ = 0;
+    std::uint64_t released_ = 0;
+    std::uint64_t live_ = 0;  ///< outstanding handles (survives resetStats)
+    std::uint64_t liveHighWater_ = 0;
 };
 
 } // namespace jmsim

@@ -214,14 +214,6 @@ class Router
         return !fifos_[kInjectPort][vn].full();
     }
 
-    /** Free inject-FIFO slots at priority @p vn (staged-injection
-     *  accounting for the threaded kernel). */
-    unsigned
-    injectFree(unsigned vn) const
-    {
-        return FlitFifo::kCapacity - fifos_[kInjectPort][vn].size();
-    }
-
     /** NI pushes one flit onto the inject port. */
     void inject(Flit flit);
 

@@ -8,7 +8,6 @@
 #include "mdp/network_interface.hh"
 #include "net/mesh_network.hh"
 #include "sim/logging.hh"
-#include "sim/thread_pool.hh"
 #include "trace/counter_registry.hh"
 #include "trace/tracer.hh"
 
@@ -23,7 +22,6 @@ NetOps::NetOps(const NetOpsConfig &config, MeshNetwork *net)
     routerFree_.assign(n, 0);
     memFree_.assign(n, 0);
     waiting_.resize(n);
-    stage_.resize(1);
     ring_.resize(kRingCycles);
 
     // Binomial barrier tree over linear ids: parent(i) = i & (i - 1).
@@ -60,15 +58,6 @@ NetOps::registerCounters(CounterRegistry &registry)
 }
 
 void
-NetOps::setStageShards(unsigned shards)
-{
-    if (shards < 1)
-        shards = 1;
-    if (stage_.size() < shards)
-        stage_.resize(shards);
-}
-
-void
 NetOps::stageIssue(NodeId src, std::uint8_t prio, std::uint8_t op,
                    std::int32_t var, std::int32_t operand,
                    std::uint32_t reply_ip, std::uint32_t src_seq, Cycle now)
@@ -82,7 +71,7 @@ NetOps::stageIssue(NodeId src, std::uint8_t prio, std::uint8_t op,
     s.replyIp = reply_ip;
     s.srcSeq = src_seq;
     s.now = now;
-    stage_[ThreadPool::currentShard()].push_back(s);
+    stage_.push_back(s);
 }
 
 void
@@ -112,9 +101,7 @@ NetOps::footprintBytes() const
     for (const auto &w : waiting_)
         total += w.capacity() * sizeof(WaitEntry);
     total += waiting_.capacity() * sizeof(std::vector<WaitEntry>);
-    for (const auto &s : stage_)
-        total += s.capacity() * sizeof(Staged);
-    total += stage_.capacity() * sizeof(std::vector<Staged>);
+    total += stage_.capacity() * sizeof(Staged);
     return total;
 }
 
@@ -370,22 +357,18 @@ NetOps::tryCombine(NodeId router, std::uint32_t ri, Cycle t)
 void
 NetOps::commitStaged()
 {
-    std::vector<Staged> batch;
-    for (auto &shard : stage_) {
-        batch.insert(batch.end(), shard.begin(), shard.end());
-        shard.clear();
-    }
-    if (batch.empty())
+    if (stage_.empty())
         return;
-    // Canonical issue order regardless of kernel sharding: srcSeq is
-    // unique per sender and monotone in program order.
-    std::stable_sort(batch.begin(), batch.end(),
+    // Canonical issue order regardless of the order the kernel stepped
+    // nodes in: srcSeq is unique per sender and monotone in program
+    // order.
+    std::stable_sort(stage_.begin(), stage_.end(),
                      [](const Staged &a, const Staged &b) {
                          if (a.src != b.src)
                              return a.src < b.src;
                          return a.srcSeq < b.srcSeq;
                      });
-    for (const Staged &s : batch) {
+    for (const Staged &s : stage_) {
         if (s.op < kNetOpFaaCount) {
             const std::uint32_t ri = allocRequest();
             Request &r = reqs_[ri];
@@ -414,6 +397,7 @@ NetOps::commitStaged()
             schedule(ev);
         }
     }
+    stage_.clear();
 }
 
 // --- FAA path ---------------------------------------------------------
@@ -743,7 +727,9 @@ NetOps::restore(ckpt::Reader &r, const ckpt::HandleMap &map, Cycle now)
     for (std::uint32_t i = 0; i < slot_count; ++i)
         slots_[i] = static_cast<std::int32_t>(r.u32());
 
-    reqs_.assign(r.u32(), Request{});
+    // Minimum record sizes below bound each count by the bytes left
+    // before anything is allocated for it.
+    reqs_.assign(r.count(47), Request{});
     for (Request &req : reqs_) {
         req.src = r.u32();
         req.prio = r.u8();
@@ -760,12 +746,13 @@ NetOps::restore(ckpt::Reader &r, const ckpt::HandleMap &map, Cycle now)
         req.nextSibling = r.u32();
         req.childCount = r.u32();
     }
-    freeReqs_.assign(r.u32(), 0);
+    freeReqs_.assign(r.count(4), 0);
     for (std::uint32_t &ri : freeReqs_)
         ri = r.u32();
 
-    const std::uint32_t event_count = r.u32();
+    const std::uint32_t event_count = r.count(42);
     std::vector<Event> events;
+    events.reserve(event_count);
     for (std::uint32_t k = 0; k < event_count; ++k) {
         Event &ev = events.emplace_back();
         ev.at = r.u64();
@@ -815,7 +802,7 @@ NetOps::restore(ckpt::Reader &r, const ckpt::HandleMap &map, Cycle now)
         if (router >= waiting_.size())
             fatal("netops restore: combine-table router out of range");
         auto &table = waiting_[router];
-        table.assign(r.u32(), WaitEntry{});
+        table.assign(r.count(12), WaitEntry{});
         for (WaitEntry &e : table) {
             e.req = r.u32();
             e.expiresAt = r.u64();
@@ -834,8 +821,7 @@ NetOps::restore(ckpt::Reader &r, const ckpt::HandleMap &map, Cycle now)
     waves_ = r.u64();
     replyRetries_ = r.u64();
 
-    for (auto &shard : stage_)
-        shard.clear();
+    stage_.clear();
 }
 
 } // namespace jmsim

@@ -29,11 +29,11 @@
  *    the root's wave broadcasts back down and releases every node with
  *    a reply message carrying the wave number.
  *
- * The engine is event-driven and runs on the main thread between
- * fabric phases, so serial and sharded kernels see the identical
- * sequence: worker shards only *stage* issues (per-shard buffers,
- * exactly the MessagePool pattern) and the commit sorts them by
- * (src, srcSeq) before anything touches shared state.
+ * The engine is event-driven and steps after the fabric each cycle.
+ * Nodes only *stage* issues during the node phase; step() sorts them by
+ * (src, srcSeq) before anything else happens. The kernel steps nodes in
+ * active-list order, not node-id order, so that sort is what makes the
+ * issue order canonical.
  */
 
 #ifndef JMSIM_NETOPS_NETOPS_HH
@@ -128,11 +128,8 @@ class NetOps
     void setTracer(Tracer *tracer) { trace_ = tracer; }
     void registerCounters(CounterRegistry &registry);
 
-    /** Grow the per-shard staging buffers (main thread, before fork). */
-    void setStageShards(unsigned shards);
-
-    /** Stage one request handed off by a node's NI. Callable from any
-     *  worker shard; nothing shared is touched until step() commits. */
+    /** Stage one request handed off by a node's NI; nothing else is
+     *  touched until step() commits the staged issues. */
     void stageIssue(NodeId src, std::uint8_t prio, std::uint8_t op,
                     std::int32_t var, std::int32_t operand,
                     std::uint32_t reply_ip, std::uint32_t src_seq,
@@ -144,8 +141,8 @@ class NetOps
     /** Cycle of the earliest scheduled event, or kNoNetOpsEvent. */
     Cycle nextEventCycle() const { return nextAt_; }
 
-    /** Commit staged issues and run every event due at @p now. Main
-     *  thread, after the fabric phases of the cycle. */
+    /** Commit staged issues and run every event due at @p now (after
+     *  the fabric phases of the cycle). */
     void step(Cycle now);
 
     /** Number of FAA variables (nodes * slotsPerNode). */
@@ -342,7 +339,7 @@ class NetOps
 
     std::vector<TreeNode> tree_;
 
-    std::vector<std::vector<Staged>> stage_;
+    std::vector<Staged> stage_;  ///< this cycle's issues
 
     std::uint64_t combineHits_ = 0;
     std::uint64_t combineMisses_ = 0;

@@ -1,8 +1,8 @@
 /**
  * @file
- * Cheap host-side phase timing for the simulation kernels.
+ * Cheap host-side phase timing for the simulation kernel.
  *
- * The per-cycle phase buckets (node step, net step, commit/barrier)
+ * The per-cycle phase buckets (node step, net step, commit)
  * are stamped twice per phase per simulated cycle, so the probe has to
  * cost nanoseconds, not a syscall: on x86 we read the TSC directly and
  * calibrate it against the steady clock once per process; on aarch64

@@ -29,10 +29,10 @@ struct RunRow
     double hostSeconds = 0;            ///< wall time inside the run phase
     std::uint64_t simCycles = 0;
     std::uint64_t simInstructions = 0;
-    double speedup = 1.0;              ///< vs the row's serial/cold peer
+    double speedup = 1.0;              ///< vs the row's nosched/cold peer
     double nodeSec = 0;                ///< kernel node-step phase
     double netSec = 0;                 ///< kernel fabric phase
-    double commitSec = 0;              ///< kernel commit/barrier phase
+    double commitSec = 0;              ///< legacy fabric commit phase
     std::uint64_t poolLiveHighWater = 0;
     std::uint64_t poolAllocs = 0;
     std::uint64_t poolRecycled = 0;

@@ -8,13 +8,12 @@
  * per-component structs. Registration is pull-based: a source is
  * either a pointer to stable uint64 storage (e.g. a per-node
  * ProcessorStats field inside the machine's node arena) or a callback
- * for storage that moves (e.g. the message pool's per-shard counters,
- * which re-shard between runs). Multiple sources under one name sum,
- * which is how 512 nodes aggregate into one `proc.instructions`.
+ * for values computed on read (e.g. the message pool's live count and
+ * carved capacity). Multiple sources under one name sum, which is how
+ * 512 nodes aggregate into one `proc.instructions`.
  *
- * Reading is always on the main thread between cycles, so no
- * synchronization is needed; the registry never owns the stats and
- * never resets them.
+ * Reading happens between cycles; the registry never owns the stats
+ * and never resets them.
  */
 
 #ifndef JMSIM_TRACE_COUNTER_REGISTRY_HH
@@ -46,8 +45,8 @@ class CounterRegistry
      *  sum when read. */
     void addCounter(const std::string &name, const std::uint64_t *source);
 
-    /** Register a counter backed by a reader callback (for storage
-     *  that resizes or re-shards under the registry). */
+    /** Register a counter backed by a reader callback (for values
+     *  computed on read, or storage that moves under the registry). */
     void addCounter(const std::string &name,
                     std::function<std::uint64_t()> reader);
 

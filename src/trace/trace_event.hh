@@ -3,14 +3,13 @@
  * POD trace records emitted by the simulator's observability taps.
  *
  * A TraceEvent is 32 bytes of plain data — no strings, no pointers —
- * so recording one is a handful of stores into a per-shard ring buffer
+ * so recording one is a handful of stores into the tracer's ring buffer
  * (see tracer.hh). Every tap site belongs to exactly one kernel phase
- * (node phase, fabric move phase, or the main-thread kernel itself),
- * and within a phase every (cycle, node) group of events is emitted by
- * exactly one shard in a fixed order. Merging the per-shard rings with
- * a stable sort on (cycle, phase, node) therefore reproduces one
- * canonical stream: serial and `--threads N` runs emit bit-identical
- * traces (asserted in tests/trace_test.cc).
+ * (node phase, fabric move phase, or the kernel itself), and within a
+ * phase every (cycle, node) group of events is emitted contiguously in
+ * a fixed order. The kernel steps nodes in active-list order, not
+ * node-id order, so a stable sort on (cycle, phase, node) is what turns
+ * the ring into one canonical stream (asserted in tests/trace_test.cc).
  */
 
 #ifndef JMSIM_TRACE_TRACE_EVENT_HH
@@ -39,7 +38,7 @@ enum class TraceKind : std::uint8_t
     QueueDepth,   ///< arg8=vn, a0=queue words used, a1=queued messages
     FlitForward,  ///< arg8=output port, a0=(src<<32)|seq, a1=vn
     FlitBlock,    ///< arg8=wanted output port, a0=(src<<32)|seq, a1=input
-    // ---- main-thread kernel ----
+    // ---- kernel ----
     IdleSkip,     ///< cycle=span start, a0=span end (exclusive)
     NetCombine,   ///< arg8=NetOp, a0=(owner src<<32)|seq, a1=(child src<<32)|seq
 
@@ -93,7 +92,7 @@ phaseOf(TraceKind kind)
       case TraceKind::FlitBlock:
         return 1;  // fabric move phase
       default:
-        return 2;  // main-thread kernel
+        return 2;  // kernel
     }
 }
 

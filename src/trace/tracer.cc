@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
-#include "sim/thread_pool.hh"
 
 namespace jmsim
 {
@@ -70,8 +68,8 @@ TraceRing::TraceRing(std::uint32_t capacity)
     : capacity_(capacity ? capacity : 1)
 {
     // Slot storage is allocated on the first push (see push): a machine
-    // built with tracing on but recording little — or nothing on most
-    // shards — should not pay capacity * 32 bytes per ring up front.
+    // built with tracing on but recording nothing should not pay
+    // capacity * 32 bytes up front.
 }
 
 void
@@ -94,41 +92,23 @@ TraceRing::clear()
 }
 
 Tracer::Tracer(const TraceConfig &config)
-    : config_(config)
+    : config_(config), ring_(config.ringCapacity)
 {
     for (unsigned k = 0; k < kNumTraceKinds; ++k) {
         if (config_.categories & categoryOf(static_cast<TraceKind>(k)))
             kindMask_ |= 1u << k;
     }
-    ensureShards(1);
-}
-
-void
-Tracer::record(const TraceEvent &ev)
-{
-    rings_[ThreadPool::currentShard()]->push(ev);
-}
-
-void
-Tracer::ensureShards(unsigned shards)
-{
-    while (rings_.size() < shards)
-        rings_.push_back(std::make_unique<TraceRing>(config_.shardCapacity));
 }
 
 std::vector<TraceEvent>
 Tracer::collect() const
 {
     std::vector<TraceEvent> out;
-    std::size_t total = 0;
-    for (const auto &ring : rings_)
-        total += ring->size();
-    out.reserve(total);
-    for (const auto &ring : rings_)
-        ring->appendTo(out);
-    // Each (cycle, phase, node) group lives contiguously in one ring,
-    // so the stable sort fully determines the merged order regardless
-    // of how the emitters were sharded.
+    out.reserve(ring_.size());
+    ring_.appendTo(out);
+    // Each (cycle, phase, node) group lies contiguously in the ring, so
+    // the stable sort fixes the order no matter which order the kernel
+    // stepped the nodes in.
     std::stable_sort(out.begin(), out.end(),
                      [](const TraceEvent &a, const TraceEvent &b) {
                          if (a.cycle != b.cycle)
@@ -140,24 +120,6 @@ Tracer::collect() const
                          return a.node < b.node;
                      });
     return out;
-}
-
-std::uint64_t
-Tracer::dropped() const
-{
-    std::uint64_t total = 0;
-    for (const auto &ring : rings_)
-        total += ring->dropped();
-    return total;
-}
-
-std::uint64_t
-Tracer::footprintBytes() const
-{
-    std::uint64_t total = rings_.capacity() * sizeof(rings_[0]);
-    for (const auto &ring : rings_)
-        total += sizeof(TraceRing) + ring->footprintBytes();
-    return total;
 }
 
 } // namespace jmsim

@@ -1,19 +1,16 @@
 /**
  * @file
- * The event tracer: per-shard ring buffers of POD TraceEvents.
+ * The event tracer: one ring buffer of POD TraceEvents.
  *
- * Recording is lock-free: each worker shard writes only its own ring
- * (indexed by ThreadPool::currentShard(), exactly the MessagePool
- * sharding pattern), so taps add no synchronization to the parallel
- * kernel. A ring that fills up overwrites its oldest records and
- * counts the drops — tracing never stalls or aborts a run.
+ * A ring that fills up overwrites its oldest records and counts the
+ * drops — tracing never stalls or aborts a run.
  *
- * collect() merges the rings into the canonical stream with a stable
+ * collect() orders the ring into the canonical stream with a stable
  * sort on (cycle, phase, node). Each such group of events lands
- * contiguously in exactly one ring per run (see trace_event.hh), so
- * the merged stream is identical for serial and sharded runs as long
- * as no ring dropped events; with drops the stream is still valid but
- * the determinism guarantee is waived (the drop counter says so).
+ * contiguously in the ring (see trace_event.hh), so the stream does not
+ * depend on the order the kernel stepped nodes in, as long as the ring
+ * dropped nothing; with drops the stream is still valid but the
+ * determinism guarantee is waived (the drop counter says so).
  *
  * Compile-time off switch: building with -DJMSIM_TRACE_COMPILED_IN=0
  * folds every tap away entirely. The default build keeps them as a
@@ -25,7 +22,6 @@
 #define JMSIM_TRACE_TRACER_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,8 +43,8 @@ struct TraceConfig
     bool enabled = false;
     /** Bitmask of kTraceCat* category bits to record. */
     std::uint32_t categories = kTraceCatAll;
-    /** Ring capacity in events, per worker shard. */
-    std::uint32_t shardCapacity = 1u << 20;
+    /** Ring capacity in events. */
+    std::uint32_t ringCapacity = 1u << 20;
     /** Chrome-trace JSON written here by JMachine::exportTrace() (and
      *  automatically at machine destruction); empty = no file. */
     std::string outPath;
@@ -121,26 +117,23 @@ class Tracer
         return (kindMask_ >> static_cast<unsigned>(kind)) & 1u;
     }
 
-    /** Record one event into the calling shard's ring. */
-    void record(const TraceEvent &ev);
+    /** Record one event. */
+    void record(const TraceEvent &ev) { ring_.push(ev); }
 
-    /** Grow to at least @p shards rings (main thread, between cycles). */
-    void ensureShards(unsigned shards);
-
-    /** Merge every ring into the canonical (cycle, phase, node) ordered
-     *  stream. Non-destructive: the rings keep their contents. */
+    /** The ring in canonical (cycle, phase, node) order.
+     *  Non-destructive: the ring keeps its contents. */
     std::vector<TraceEvent> collect() const;
 
-    /** Total events lost to ring overwrites, across all shards. */
-    std::uint64_t dropped() const;
+    /** Events lost to ring overwrites. */
+    std::uint64_t dropped() const { return ring_.dropped(); }
 
-    /** Heap bytes behind every shard's ring (rings allocate lazily). */
-    std::uint64_t footprintBytes() const;
+    /** Heap bytes behind the ring (it allocates lazily). */
+    std::uint64_t footprintBytes() const { return ring_.footprintBytes(); }
 
   private:
     TraceConfig config_;
     std::uint32_t kindMask_ = 0;  ///< bit per TraceKind
-    std::vector<std::unique_ptr<TraceRing>> rings_;
+    TraceRing ring_;
 };
 
 } // namespace jmsim

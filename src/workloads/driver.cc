@@ -13,7 +13,6 @@ namespace workloads
 namespace
 {
 unsigned dispatchOverride = 0;
-int threadsOverride = -1;
 int superblockOverride = -1;
 int wakeSchedulerOverride = -1;
 int netSchedulerOverride = -1;
@@ -30,7 +29,9 @@ setDispatchCyclesForTesting(unsigned cycles)
 void
 setSimThreads(int threads)
 {
-    threadsOverride = threads;
+    if (threads != 1)
+        fatal("setSimThreads(" + std::to_string(threads) +
+              "): the simulation kernel is serial; only 1 is accepted");
 }
 
 void
@@ -82,8 +83,6 @@ standardConfig(unsigned nodes)
     cfg.dims = MeshDims::forNodeCount(nodes);
     if (dispatchOverride)
         cfg.proc.dispatchCycles = dispatchOverride;
-    if (threadsOverride >= 0)
-        cfg.threads = static_cast<unsigned>(threadsOverride);
     if (superblockOverride >= 0)
         cfg.proc.superblock = superblockOverride != 0;
     if (wakeSchedulerOverride >= 0)

@@ -28,10 +28,10 @@ MachineConfig standardConfig(unsigned nodes);
  *  (0 restores the architectural default of 4 cycles). */
 void setDispatchCyclesForTesting(unsigned cycles);
 
-/** Override the simulation-kernel worker count used by standardConfig:
- *  1 = serial kernel, N > 1 = that many shards, 0 = auto,
- *  -1 restores the default (auto). Threaded runs are bit-identical to
- *  serial ones, so this only changes host-side wall-clock time. */
+/** jbench contract: jbench pins the simulation kernel to one thread
+ *  with setSimThreads(1) and checks JMachine::resolvedThreads() == 1.
+ *  The kernel is always serial, so 1 is a no-op and any other value is
+ *  refused with a FatalError. */
 void setSimThreads(int threads);
 
 /** Override superblock span execution used by standardConfig:

@@ -102,8 +102,8 @@ struct TrafficProbe
     std::uint64_t traceDropped = 0;
 };
 
-/** Run fig3-style random traffic for @p window cycles; the machine
- *  honours the driver's setSimThreads() override. */
+/** Run fig3-style random traffic for @p window cycles; the machine is
+ *  built by standardConfig, so it honours the driver's overrides. */
 TrafficProbe runFig3Traffic(unsigned nodes, unsigned msg_words,
                             unsigned idle_iters, Cycle window,
                             std::uint32_t seed = 1);

@@ -3,12 +3,12 @@
  * Checkpoint round-trip tests: a machine restored from a snapshot must
  * continue bit-identically to the uninterrupted run — same final cycle
  * count, same counter-registry snapshot, same jtrace stream — across
- * every host execution strategy (serial, threaded, wake scheduler and
+ * every host execution strategy (wake scheduler, fabric scheduler and
  * superblocks on or off), because the image carries architectural
  * state only. The kernel wake queue is not in the image at all: a
  * restore rebuilds it from the parked flags and doze horizons. Plus
  * header rejection (bad magic, bad version, config digest mismatch)
- * and body-corruption detection.
+ * and body-corruption detection (truncation, corrupt counts).
  */
 
 #include <gtest/gtest.h>
@@ -30,7 +30,7 @@ using namespace jmsim::workloads;
 namespace
 {
 
-/** Counters that depend on pool free-list sharding, not architecture:
+/** Counters that depend on pool free-list history, not architecture:
  *  a restored pool starts from a compact rebuild, so its recycle
  *  count and slab capacity legitimately diverge. */
 bool
@@ -126,23 +126,7 @@ TEST(CkptRoundTrip, Fig4ContinuationMatchesUninterrupted)
     expectEqualCounters(full.counters, cont.counters, false);
 }
 
-TEST(CkptRoundTrip, Fig4RestoresAcrossThreadCounts)
-{
-    ckpt::Snapshot snap;
-    auto a = fig4AtSnapPoint(snap);
-    const RunResult full = a->run(kEndCycle);
-
-    for (const unsigned threads : {2u, 4u}) {
-        auto b = buildFig4Machine(kNodes);
-        b->setThreads(threads);
-        ASSERT_TRUE(b->restore(snap));
-        const RunResult cont = b->run(kEndCycle);
-        EXPECT_EQ(full.cycles, cont.cycles) << threads << " shards";
-        expectEqualCounters(full.counters, cont.counters, false);
-    }
-}
-
-// Restore the sched-on serial image into every off-default strategy:
+// Restore the sched-on image into every off-default strategy:
 // the image is architectural, so each continuation must land on the
 // same architectural counters.
 TEST(CkptRoundTrip, Fig4RestoresWithWakeSchedulerOff)
@@ -169,26 +153,6 @@ TEST(CkptRoundTrip, Fig4RestoresWithSuperblockAndNetSchedulerOff)
     auto b = buildFig4Machine(kNodes);
     b->setSuperblock(false);
     b->setNetScheduler(false);
-    b->setThreads(2);
-    ASSERT_TRUE(b->restore(snap));
-    const RunResult cont = b->run(kEndCycle);
-    EXPECT_EQ(full.cycles, cont.cycles);
-    expectEqualCounters(full.counters, cont.counters, true);
-}
-
-TEST(CkptRoundTrip, ThreadedSnapshotRestoresIntoSerial)
-{
-    // Save out of a 4-shard machine mid-run, restore into a serial
-    // one: the image must not depend on the saving side's sharding.
-    auto a = buildFig4Machine(kNodes);
-    a->setThreads(4);
-    a->run(kSnapCycle);
-    ckpt::Snapshot snap;
-    a->save(snap);
-    const RunResult full = a->run(kEndCycle);
-
-    auto b = buildFig4Machine(kNodes);
-    b->setThreads(1);
     ASSERT_TRUE(b->restore(snap));
     const RunResult cont = b->run(kEndCycle);
     EXPECT_EQ(full.cycles, cont.cycles);
@@ -246,7 +210,6 @@ TEST(CkptRoundTrip, RadixMidRunRestoreFinishesAndValidates)
     c.nodes = 16;
     c.keys = 1024;
     PreparedApp b = prepareRadixSort(c);
-    b.machine->setThreads(4);
     b.machine->setWakeScheduler(false);
     ASSERT_TRUE(b.machine->restore(snap));
     const AppResult cont = finishApp(b);
@@ -392,6 +355,116 @@ TEST(CkptReject, TruncationAtEveryBlockBoundaryIsClean)
     EXPECT_EQ(b->now(), 600u);
 }
 
+namespace
+{
+
+std::uint32_t
+imageU32(const ckpt::Snapshot &snap, std::size_t at)
+{
+    std::uint32_t v = 0;
+    for (unsigned i = 0; i < 4; ++i)
+        v |= static_cast<std::uint32_t>(snap.bytes.at(at + i)) << (8 * i);
+    return v;
+}
+
+/** Restore @p snap with the u32 at @p at overwritten by 0xFFFFFFFF
+ *  and return the FatalError message ("" if restore did not throw). */
+std::string
+restoreWithMaxCount(JMachine &m, const ckpt::Snapshot &snap, std::size_t at)
+{
+    ckpt::Snapshot bad = snap;
+    for (unsigned i = 0; i < 4; ++i)
+        bad.bytes.at(at + i) = 0xFF;
+    try {
+        m.restore(bad);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+// Count fields set to 0xFFFFFFFF in a valid image: restore must refuse
+// each with the count check's FatalError before it sizes anything by
+// the count (the
+// pool's message count and a message's word count, then the netops
+// request, free-list, event and combine-table counts). The offsets are
+// found by walking the image layout, and each walk is checked against
+// values the machine reports, so a mutation always hits its field.
+TEST(CkptReject, OversizedCountsAreFatal)
+{
+    ckpt::Snapshot snap;
+    auto a = fig4AtSnapPoint(snap);
+    // Kernel section: header (16), then 52 bytes of counters before the
+    // active-list length; then the list, and 11 bytes per node.
+    const std::size_t activeAt = 16 + 52;
+    const std::size_t msgCountAt =
+        activeAt + 4 + 4 * std::size_t{imageU32(snap, activeAt)} + 11 * kNodes;
+    const std::uint32_t msgCount = imageU32(snap, msgCountAt);
+    ASSERT_GT(msgCount, 0u);
+    const std::size_t wordCountAt = msgCountAt + 4 + 12;
+    std::size_t at = msgCountAt + 4;
+    for (std::uint32_t i = 0; i < msgCount; ++i)
+        at += 16 + 5 * std::size_t{imageU32(snap, at + 12)} + 22;
+    // The walk must land on the pool counters: allocs ... liveNow.
+    const PoolStats ps = a->network().pool().stats();
+    ASSERT_EQ(imageU32(snap, at), ps.allocs);
+    ASSERT_EQ(imageU32(snap, at + 24), ps.liveNow);
+
+    for (const std::size_t field : {msgCountAt, wordCountAt}) {
+        auto b = buildFig4Machine(kNodes);
+        EXPECT_NE(restoreWithMaxCount(*b, snap, field)
+                      .find("count 4294967295 at offset " +
+                            std::to_string(field)),
+                  std::string::npos);
+    }
+
+    // The netops section closes the image. Run a combining hotspot until
+    // a combine table holds an entry, then find the section's start from
+    // its own size.
+    constexpr unsigned kHotNodes = 64;
+    auto h = buildFaaHotspotMachine(kHotNodes, 16, true);
+    std::size_t reqsAt = 0, freeAt = 0, eventsAt = 0, tableAt = 0;
+    while (tableAt == 0) {
+        ASSERT_LT(h->runFor(1).reason, StopReason::AllHalted);
+        ASSERT_LT(h->now(), 100'000u);
+        h->save(snap);
+        std::vector<MsgHandle> held;
+        h->netops()->collectHandles(held);
+        ckpt::HandleMap map;
+        for (const MsgHandle m : held)
+            map.toOrdinal.emplace(m, 0);
+        ckpt::Writer section;
+        h->netops()->save(section, map);
+        const std::size_t start = snap.bytes.size() - section.buffer().size();
+        reqsAt = start + 4 + 4 * std::size_t{imageU32(snap, start)};
+        freeAt = reqsAt + 4 + 47 * std::size_t{imageU32(snap, reqsAt)};
+        eventsAt = freeAt + 4 + 4 * std::size_t{imageU32(snap, freeAt)};
+        const std::size_t nonemptyAt =
+            eventsAt + 4 + 42 * std::size_t{imageU32(snap, eventsAt)} + 8 +
+            16 * kHotNodes;
+        std::size_t end = nonemptyAt + 4;
+        for (std::uint32_t t = 0; t < imageU32(snap, nonemptyAt); ++t)
+            end += 8 + 12 * std::size_t{imageU32(snap, end + 4)};
+        // Barrier tree (9 bytes per node) and five u64 counters close
+        // the section: the walk must account for every byte.
+        ASSERT_EQ(end + 9 * kHotNodes + 40, snap.bytes.size());
+        if (imageU32(snap, nonemptyAt) > 0)
+            tableAt = nonemptyAt + 4 + 4;
+    }
+    ASSERT_GT(imageU32(snap, reqsAt), 0u);
+    ASSERT_GT(imageU32(snap, tableAt), 0u);
+
+    for (const std::size_t field : {reqsAt, freeAt, eventsAt, tableAt}) {
+        auto b = buildFaaHotspotMachine(kHotNodes, 16, true);
+        EXPECT_NE(restoreWithMaxCount(*b, snap, field)
+                      .find("count 4294967295 at offset " +
+                            std::to_string(field)),
+                  std::string::npos);
+    }
+}
+
 // A mid-hotspot image taken while nodes are parked on their fetch-and-
 // add replies, after many parks were already cut short by a reply.
 // The saver's wake-queue array reflects that history; the restorer
@@ -430,18 +503,15 @@ TEST(CkptWakeQueue, MidHotspotParkedImageRoundTrips)
     EXPECT_EQ(outInts(*b, 0), outInts(*a, 0));
     expectEqualCounters(full.counters, cont.counters, false);
 
-    // The same image continues identically on the sharded kernel and
-    // with the scheduler off (architectural counters only there).
-    for (const bool sched : {true, false}) {
-        auto c = buildFaaHotspotMachine(kHotNodes, kHotOps, true);
-        c->setThreads(4);
-        c->setWakeScheduler(sched);
-        ASSERT_TRUE(c->restore(snap, &err)) << err;
-        EXPECT_EQ(c->wakeQueueSize(), c->parkedNodes());
-        const RunResult other = c->run(kLimit);
-        EXPECT_EQ(other.cycles, full.cycles) << "sched " << sched;
-        expectEqualCounters(full.counters, other.counters, true);
-    }
+    // The same image continues identically with the scheduler off
+    // (architectural counters only there).
+    auto c = buildFaaHotspotMachine(kHotNodes, kHotOps, true);
+    c->setWakeScheduler(false);
+    ASSERT_TRUE(c->restore(snap, &err)) << err;
+    EXPECT_EQ(c->wakeQueueSize(), c->parkedNodes());
+    const RunResult other = c->run(kLimit);
+    EXPECT_EQ(other.cycles, full.cycles);
+    expectEqualCounters(full.counters, other.counters, true);
 }
 
 // A v2 image (it carried the wake queue array) is refused at the

@@ -1,14 +1,12 @@
 /**
  * @file
- * Determinism regression for the threaded simulation kernel: a run with
- * N worker shards must be bit-identical to the serial kernel — same
- * cycle counts, same aggregate processor statistics, same network and
- * NI statistics — on both an open traffic workload (fig3 random
- * traffic) and a halting application (radix sort).
- *
- * Registered twice in ctest: the DeterminismSerial suite pins the
- * serial kernel (repeat-run reproducibility), the DeterminismThreaded
- * suite compares serial against a 4-shard run.
+ * Determinism regression for the simulation kernel: repeat runs must be
+ * bit-identical — same cycle counts, same aggregate processor
+ * statistics, same network and NI statistics — and must land on golden
+ * architectural numbers, on both an open traffic workload (fig3 random
+ * traffic) and a halting application (radix sort), from 16 to 4096
+ * nodes. The host-side strategies (superblocks, wake scheduler) must
+ * not move a single number.
  */
 
 #include <gtest/gtest.h>
@@ -23,13 +21,6 @@ namespace
 {
 
 using workloads::TrafficProbe;
-
-/** Pin the thread override for a scope, restoring auto on exit. */
-struct ThreadsGuard
-{
-    explicit ThreadsGuard(int threads) { workloads::setSimThreads(threads); }
-    ~ThreadsGuard() { workloads::setSimThreads(-1); }
-};
 
 /** Pin the superblock override for a scope, restoring default (on). */
 struct SuperblockGuard
@@ -75,9 +66,7 @@ expectEqualProbes(const TrafficProbe &a, const TrafficProbe &b)
     EXPECT_EQ(a.niStats.deliveryStallCycles, b.niStats.deliveryStallCycles);
     EXPECT_EQ(a.niStats.messagesBounced, b.niStats.messagesBounced);
     // Message-pool alloc/release counts are architectural (one alloc
-    // per message created, one release per tail delivered) and so must
-    // match across kernels. Recycle counts and capacity are not: they
-    // depend on how the free lists were sharded.
+    // per message created, one release per tail delivered).
     EXPECT_EQ(counterValue(a.run.counters, "pool.allocs"),
               counterValue(b.run.counters, "pool.allocs"));
     EXPECT_EQ(counterValue(a.run.counters, "pool.released"),
@@ -110,23 +99,54 @@ expectEqualAppResults(const workloads::AppResult &a,
 }
 
 TrafficProbe
-trafficAt(unsigned nodes, int threads, Cycle window)
+trafficAt(unsigned nodes, Cycle window)
 {
-    ThreadsGuard guard(threads);
     return workloads::runFig3Traffic(nodes, 6, 40, window);
 }
 
 TrafficProbe
-fig4At(unsigned nodes, int threads, Cycle window)
+fig4At(unsigned nodes, Cycle window)
 {
-    ThreadsGuard guard(threads);
     return workloads::runFig4Load(nodes, window);
+}
+
+/** Golden architectural numbers of one fig3 traffic window. */
+struct TrafficGolden
+{
+    std::uint64_t instructions;
+    std::uint64_t runCycles;
+    std::uint64_t dispatches;
+    std::uint64_t messagesDelivered;
+    std::uint64_t wordsDelivered;
+    std::uint64_t bisectionFlitsPos;
+    std::uint64_t bisectionFlitsNeg;
+    std::uint64_t messagesSent;
+    std::uint64_t sendFullEvents;
+    std::uint64_t poolAllocs;
+};
+
+void
+expectTrafficGolden(const TrafficProbe &p, Cycle window,
+                    const TrafficGolden &g)
+{
+    EXPECT_EQ(p.run.cycles, window);
+    EXPECT_EQ(p.run.reason, StopReason::CycleLimit);
+    EXPECT_EQ(p.instructions, g.instructions);
+    EXPECT_EQ(p.procStats.runCycles, g.runCycles);
+    EXPECT_EQ(p.procStats.dispatches, g.dispatches);
+    EXPECT_EQ(p.netStats.messagesDelivered, g.messagesDelivered);
+    EXPECT_EQ(p.netStats.wordsDelivered, g.wordsDelivered);
+    EXPECT_EQ(p.netStats.bisectionFlitsPos, g.bisectionFlitsPos);
+    EXPECT_EQ(p.netStats.bisectionFlitsNeg, g.bisectionFlitsNeg);
+    EXPECT_EQ(p.niStats.messagesSent, g.messagesSent);
+    EXPECT_EQ(p.niStats.sendFullEvents, g.sendFullEvents);
+    EXPECT_EQ(counterValue(p.run.counters, "pool.allocs"), g.poolAllocs);
 }
 
 TEST(DeterminismSerial, RepeatRunsIdentical)
 {
-    const TrafficProbe first = trafficAt(64, 1, 2000);
-    const TrafficProbe second = trafficAt(64, 1, 2000);
+    const TrafficProbe first = trafficAt(64, 2000);
+    const TrafficProbe second = trafficAt(64, 2000);
     EXPECT_GT(first.instructions, 0u);
     EXPECT_GT(first.netStats.messagesDelivered, 0u);
     expectEqualProbes(first, second);
@@ -139,7 +159,7 @@ TEST(DeterminismSerial, RepeatRunsIdentical)
 // architectural regression, not noise.
 TEST(DeterminismSerial, TrafficMatchesPreDecodeGolden)
 {
-    const TrafficProbe p = trafficAt(64, 1, 2000);
+    const TrafficProbe p = trafficAt(64, 2000);
     EXPECT_EQ(p.run.cycles, 2000u);
     EXPECT_EQ(p.instructions, 93827u);
     EXPECT_EQ(p.procStats.runCycles, 128012u);
@@ -151,7 +171,6 @@ TEST(DeterminismSerial, RadixMatchesPreDecodeGolden)
     workloads::RadixConfig c;
     c.nodes = 16;
     c.keys = 1024;
-    ThreadsGuard guard(1);
     const auto r = workloads::runRadixSort(c);
     EXPECT_EQ(r.answer, 1024);
     EXPECT_EQ(r.runCycles, 61436u);
@@ -161,12 +180,11 @@ TEST(DeterminismSerial, RadixMatchesPreDecodeGolden)
 
 // Superblock span execution is a host-side strategy, not a model
 // change: with spans forced off (one op interpreted per cycle) the
-// golden numbers above must still hold exactly, at both kernel
-// configurations.
+// golden numbers above must still hold exactly.
 TEST(DeterminismSerial, TrafficGoldenHoldsWithSuperblocksOff)
 {
     SuperblockGuard sb(0);
-    const TrafficProbe p = trafficAt(64, 1, 2000);
+    const TrafficProbe p = trafficAt(64, 2000);
     EXPECT_EQ(p.run.cycles, 2000u);
     EXPECT_EQ(p.instructions, 93827u);
     EXPECT_EQ(p.procStats.runCycles, 128012u);
@@ -179,7 +197,6 @@ TEST(DeterminismSerial, RadixGoldenHoldsWithSuperblocksOff)
     workloads::RadixConfig c;
     c.nodes = 16;
     c.keys = 1024;
-    ThreadsGuard guard(1);
     const auto r = workloads::runRadixSort(c);
     EXPECT_EQ(r.answer, 1024);
     EXPECT_EQ(r.runCycles, 61436u);
@@ -187,19 +204,15 @@ TEST(DeterminismSerial, RadixGoldenHoldsWithSuperblocksOff)
     EXPECT_EQ(r.dispatches, 7378u);
 }
 
-TEST(DeterminismThreaded, RadixSuperblocksOffMatchesSerialOn)
+TEST(DeterminismSerial, RadixSuperblocksOffMatchesOn)
 {
     workloads::RadixConfig c;
     c.nodes = 16;
     c.keys = 1024;
-    workloads::AppResult on, off;
-    {
-        ThreadsGuard guard(1);
-        on = workloads::runRadixSort(c);
-    }
+    const workloads::AppResult on = workloads::runRadixSort(c);
+    workloads::AppResult off;
     {
         SuperblockGuard sb(0);
-        ThreadsGuard guard(4);
         off = workloads::runRadixSort(c);
     }
     EXPECT_EQ(on.answer, 1024);
@@ -211,7 +224,6 @@ TEST(DeterminismSerial, RadixRepeatRunsIdentical)
     workloads::RadixConfig c;
     c.nodes = 16;
     c.keys = 1024;
-    ThreadsGuard guard(1);
     const auto first = workloads::runRadixSort(c);
     const auto second = workloads::runRadixSort(c);
     EXPECT_EQ(first.answer, 1024);
@@ -225,7 +237,7 @@ TEST(DeterminismSerial, RadixRepeatRunsIdentical)
 // regression.
 TEST(DeterminismSerial, Fig4LoadMatchesPreArenaGolden)
 {
-    const TrafficProbe p = fig4At(64, 1, 2500);
+    const TrafficProbe p = fig4At(64, 2500);
     EXPECT_EQ(p.run.cycles, 2500u);
     EXPECT_EQ(p.instructions, 100000u);
     EXPECT_EQ(p.procStats.runCycles, 160030u);
@@ -247,60 +259,46 @@ TEST(DeterminismSerial, Fig4LoadMatchesPreArenaGolden)
     EXPECT_EQ(counterValue(p.run.counters, "pool.live_high_water"), 64u);
 }
 
-TEST(DeterminismThreaded, Fig4LoadMatchesSerialAcrossThreadCounts)
+// The goldens below were recorded from the serial kernel at 256, 1K
+// (8x16x8) and 4K (16x16x16) nodes. Short windows keep the large meshes
+// inside the ctest budget.
+TEST(DeterminismSerial, Fig4LoadGoldenAt256Nodes)
 {
-    const TrafficProbe serial = fig4At(64, 1, 2500);
-    const TrafficProbe two = fig4At(64, 2, 2500);
-    const TrafficProbe four = fig4At(64, 4, 2500);
-    EXPECT_GT(serial.netStats.messagesDelivered, 0u);
-    expectEqualProbes(serial, two);
-    expectEqualProbes(serial, four);
+    const TrafficProbe p = fig4At(256, 2500);
+    EXPECT_EQ(p.run.cycles, 2500u);
+    EXPECT_EQ(p.instructions, 356400u);
+    EXPECT_EQ(p.netStats.messagesDelivered, 2284u);
+    EXPECT_EQ(p.netStats.wordsDelivered, 54816u);
+    EXPECT_EQ(p.niStats.messagesSent, 2329u);
+    EXPECT_EQ(p.niStats.sendFullEvents, 20253u);
 }
 
-TEST(DeterminismThreaded, Fig4LoadMatchesSerialAt256Nodes)
+TEST(DeterminismSerial, TrafficGoldenAt256Nodes)
 {
-    const TrafficProbe serial = fig4At(256, 1, 2500);
-    const TrafficProbe four = fig4At(256, 4, 2500);
-    EXPECT_EQ(serial.run.cycles, 2500u);
-    EXPECT_EQ(serial.instructions, 356400u);
-    EXPECT_EQ(serial.netStats.messagesDelivered, 2284u);
-    expectEqualProbes(serial, four);
+    expectTrafficGolden(trafficAt(256, 1500), 1500,
+                        {.instructions = 280695,
+                         .runCycles = 384086,
+                         .dispatches = 1592,
+                         .messagesDelivered = 1571,
+                         .wordsDelivered = 9426,
+                         .bisectionFlitsPos = 5152,
+                         .bisectionFlitsNeg = 5171,
+                         .messagesSent = 1592,
+                         .sendFullEvents = 0,
+                         .poolAllocs = 1635});
 }
 
-TEST(DeterminismThreaded, TrafficMatchesSerialAt256Nodes)
-{
-    const TrafficProbe serial = trafficAt(256, 1, 1500);
-    const TrafficProbe threaded = trafficAt(256, 4, 1500);
-    EXPECT_GT(serial.instructions, 0u);
-    EXPECT_GT(serial.netStats.messagesDelivered, 0u);
-    expectEqualProbes(serial, threaded);
-}
-
-TEST(DeterminismThreaded, RadixMatchesSerialAt256Nodes)
+TEST(DeterminismSerial, RadixGoldenAt256Nodes)
 {
     workloads::RadixConfig c;
     c.nodes = 256;
     c.keys = 4096;
-    workloads::AppResult serial, threaded;
-    {
-        ThreadsGuard guard(1);
-        serial = workloads::runRadixSort(c);
-    }
-    {
-        ThreadsGuard guard(4);
-        threaded = workloads::runRadixSort(c);
-    }
-    EXPECT_EQ(serial.answer, 4096);
-    // A halting workload: the threaded kernel must stop on the same
-    // cycle with the same statistics.
-    expectEqualAppResults(serial, threaded);
-}
-
-TEST(DeterminismThreaded, ShardCountDoesNotMatter)
-{
-    const TrafficProbe two = trafficAt(64, 2, 1200);
-    const TrafficProbe seven = trafficAt(64, 7, 1200);
-    expectEqualProbes(two, seven);
+    const workloads::AppResult r = workloads::runRadixSort(c);
+    EXPECT_EQ(r.answer, 4096);
+    EXPECT_EQ(r.runCycles, 66590u);
+    EXPECT_EQ(r.instructions, 10372733u);
+    EXPECT_EQ(r.instructionsOs, 59661u);
+    EXPECT_EQ(r.dispatches, 32242u);
 }
 
 /** Pin the wake-scheduler override for a scope, restoring default. */
@@ -310,54 +308,59 @@ struct WakeGuard
     ~WakeGuard() { workloads::setWakeScheduler(-1); }
 };
 
-// Large-mesh determinism: the 1K (8x16x8) and 4K (16x16x16) meshes the
-// event-driven kernel was built for, serial vs threaded and scheduler
-// on vs off — all four configurations must produce one bit-identical
-// run. Short windows keep these inside the ctest budget; the absolute
-// goldens pin the numbers captured when the meshes first ran.
-TEST(DeterminismThreaded, TrafficMatchesSerialAt1KNodes)
+TEST(DeterminismSerial, TrafficGoldenAt1KNodes)
 {
-    const TrafficProbe serial = trafficAt(1024, 1, 600);
-    const TrafficProbe two = trafficAt(1024, 2, 600);
-    const TrafficProbe four = trafficAt(1024, 4, 600);
-    EXPECT_EQ(serial.run.cycles, 600u);
-    EXPECT_GT(serial.instructions, 0u);
-    EXPECT_GT(serial.netStats.messagesDelivered, 0u);
-    expectEqualProbes(serial, two);
-    expectEqualProbes(serial, four);
+    expectTrafficGolden(trafficAt(1024, 600), 600,
+                        {.instructions = 437762,
+                         .runCycles = 614629,
+                         .dispatches = 2032,
+                         .messagesDelivered = 2024,
+                         .wordsDelivered = 12144,
+                         .bisectionFlitsPos = 6086,
+                         .bisectionFlitsNeg = 6060,
+                         .messagesSent = 2046,
+                         .sendFullEvents = 41,
+                         .poolAllocs = 2048});
 }
 
-TEST(DeterminismThreaded, TrafficSchedulerOffMatchesOnAt1KNodes)
+TEST(DeterminismSerial, TrafficSchedulerOffMatchesOnAt1KNodes)
 {
     TrafficProbe on, off;
     {
         WakeGuard w(1);
-        on = trafficAt(1024, 1, 600);
+        on = trafficAt(1024, 600);
     }
     {
         WakeGuard w(0);
-        off = trafficAt(1024, 4, 600);
+        off = trafficAt(1024, 600);
     }
     expectEqualProbes(on, off);
 }
 
-TEST(DeterminismThreaded, TrafficMatchesSerialAt4KNodes)
+TEST(DeterminismSerial, TrafficGoldenAt4KNodes)
 {
-    const TrafficProbe serial = trafficAt(4096, 1, 400);
-    const TrafficProbe four = trafficAt(4096, 4, 400);
+    const TrafficProbe on = trafficAt(4096, 400);
+    expectTrafficGolden(on, 400,
+                        {.instructions = 1219537,
+                         .runCycles = 1638422,
+                         .dispatches = 509,
+                         .messagesDelivered = 2,
+                         .wordsDelivered = 12,
+                         .bisectionFlitsPos = 1918,
+                         .bisectionFlitsNeg = 2083,
+                         .messagesSent = 4096,
+                         .sendFullEvents = 0,
+                         .poolAllocs = 4546});
     TrafficProbe off;
     {
         WakeGuard w(0);
-        off = trafficAt(4096, 2, 400);
+        off = trafficAt(4096, 400);
     }
-    EXPECT_EQ(serial.run.cycles, 400u);
-    EXPECT_GT(serial.instructions, 0u);
-    expectEqualProbes(serial, four);
-    expectEqualProbes(serial, off);
+    expectEqualProbes(on, off);
     // The memory-audit acceptance bound: a 4096-node mesh stays far
     // under 1 GB of simulator state.
-    EXPECT_GT(serial.run.footprintBytes, 0u);
-    EXPECT_LT(serial.run.footprintBytes, 1ull << 30);
+    EXPECT_GT(on.run.footprintBytes, 0u);
+    EXPECT_LT(on.run.footprintBytes, 1ull << 30);
 }
 
 } // namespace

@@ -4,8 +4,7 @@
  * exact on crafted in-flight configurations, a quiet fabric makes zero
  * router steps, the router-step accounting partitions routers x cycles
  * exactly, and — the hard invariant — a `--net-sched off` run is
- * bit-identical to an event-driven one on the serial and the sharded
- * kernel alike.
+ * bit-identical to an event-driven one.
  */
 
 #include <gtest/gtest.h>
@@ -21,12 +20,6 @@ namespace
 {
 
 using workloads::TrafficProbe;
-
-struct ThreadsGuard
-{
-    explicit ThreadsGuard(int threads) { workloads::setSimThreads(threads); }
-    ~ThreadsGuard() { workloads::setSimThreads(-1); }
-};
 
 struct NetGuard
 {
@@ -199,23 +192,20 @@ TEST(FabricNextEvent, LegacyModeTracksTheSameActivity)
 // ---------------------------------------------------------------------
 
 TrafficProbe
-fig3At(unsigned nodes, int threads, Cycle window)
+fig3At(unsigned nodes, Cycle window)
 {
-    ThreadsGuard guard(threads);
     return workloads::runFig3Traffic(nodes, 6, 40, window);
 }
 
 TrafficProbe
-fig4At(unsigned nodes, int threads, Cycle window)
+fig4At(unsigned nodes, Cycle window)
 {
-    ThreadsGuard guard(threads);
     return workloads::runFig4Load(nodes, window);
 }
 
 TrafficProbe
-ringAt(unsigned nodes, int threads, Cycle window)
+ringAt(unsigned nodes, Cycle window)
 {
-    ThreadsGuard guard(threads);
     return workloads::runSparseActivity(nodes, 8, window);
 }
 
@@ -236,16 +226,16 @@ expectIdenticalRuns(const TrafficProbe &a, const TrafficProbe &b)
     EXPECT_EQ(a.niStats.sendFullEvents, b.niStats.sendFullEvents);
 }
 
-TEST(NetScheduler, Fig3OffMatchesOnSerial)
+TEST(NetScheduler, Fig3OffMatchesOn)
 {
     TrafficProbe on, off;
     {
         NetGuard g(1);
-        on = fig3At(64, 1, 2000);
+        on = fig3At(64, 2000);
     }
     {
         NetGuard g(0);
-        off = fig3At(64, 1, 2000);
+        off = fig3At(64, 2000);
     }
     EXPECT_GT(on.instructions, 0u);
     expectIdenticalRuns(on, off);
@@ -257,64 +247,39 @@ TEST(NetScheduler, Fig3OffMatchesOnSerial)
     EXPECT_EQ(on.netStats.messagesDelivered, 618u);
 }
 
-TEST(NetScheduler, Fig3OffMatchesOnThreaded)
+TEST(NetScheduler, Fig4SaturationOffMatchesOn)
 {
-    TrafficProbe on2, off2, on4, off4;
+    TrafficProbe on, off;
     {
         NetGuard g(1);
-        on2 = fig3At(64, 2, 2000);
-        on4 = fig3At(64, 4, 2000);
+        on = fig4At(64, 2500);
     }
     {
         NetGuard g(0);
-        off2 = fig3At(64, 2, 2000);
-        off4 = fig3At(64, 4, 2000);
+        off = fig4At(64, 2500);
     }
-    expectIdenticalRuns(on2, off2);
-    expectIdenticalRuns(on4, off4);
-    expectIdenticalRuns(on2, on4);
-}
-
-TEST(NetScheduler, Fig4SaturationOffMatchesOnBothKernels)
-{
-    TrafficProbe on_s, off_s, on_t, off_t;
-    {
-        NetGuard g(1);
-        on_s = fig4At(64, 1, 2500);
-        on_t = fig4At(64, 4, 2500);
-    }
-    {
-        NetGuard g(0);
-        off_s = fig4At(64, 1, 2500);
-        off_t = fig4At(64, 4, 2500);
-    }
-    expectIdenticalRuns(on_s, off_s);
-    expectIdenticalRuns(on_s, on_t);
-    expectIdenticalRuns(on_s, off_t);
+    expectIdenticalRuns(on, off);
     // Saturation golden (see determinism_test.cc).
-    EXPECT_EQ(on_s.instructions, 100000u);
-    EXPECT_EQ(on_s.netStats.messagesDelivered, 880u);
-    EXPECT_EQ(on_s.netStats.wordsDelivered, 21120u);
+    EXPECT_EQ(on.instructions, 100000u);
+    EXPECT_EQ(on.netStats.messagesDelivered, 880u);
+    EXPECT_EQ(on.netStats.wordsDelivered, 21120u);
 }
 
-TEST(NetScheduler, SparseRingOffMatchesOnBothKernels)
+TEST(NetScheduler, SparseRingOffMatchesOn)
 {
     // The heterogeneous-activity shape of the BENCH fabric_quiet A/B
-    // row, and the workload whose serial runs live on the fused fast
-    // path (stepFast) nearly every ticked cycle.
-    TrafficProbe on_s, off_s, on_t;
+    // row: the event-driven fabric steps a few routers per ticked cycle.
+    TrafficProbe on, off;
     {
         NetGuard g(1);
-        on_s = ringAt(256, 1, 10000);
-        on_t = ringAt(256, 4, 10000);
+        on = ringAt(256, 10000);
     }
     {
         NetGuard g(0);
-        off_s = ringAt(256, 1, 10000);
+        off = ringAt(256, 10000);
     }
-    EXPECT_GT(on_s.netStats.messagesDelivered, 0u);
-    expectIdenticalRuns(on_s, off_s);
-    expectIdenticalRuns(on_s, on_t);
+    EXPECT_GT(on.netStats.messagesDelivered, 0u);
+    expectIdenticalRuns(on, off);
 }
 
 // ---------------------------------------------------------------------
@@ -334,19 +299,16 @@ expectExactStepAccounting(const TrafficProbe &p, unsigned nodes)
               static_cast<std::uint64_t>(nodes) * p.run.cycles);
 }
 
-TEST(NetScheduler, RouterStepInvariantExactSerial)
+TEST(NetScheduler, RouterStepInvariantExact)
 {
     NetGuard g(1);
-    const TrafficProbe fig4 = fig4At(64, 1, 2500);
+    const TrafficProbe fig4 = fig4At(64, 2500);
     expectExactStepAccounting(fig4, 64);
     EXPECT_GT(counterValue(fig4.run.counters, "net.router_steps"), 0u);
 
     // High-grain traffic: long compute phases, so most router steps
     // are skipped and whole fabric-quiet cycles are event-skipped.
-    const TrafficProbe sparse = [&] {
-        ThreadsGuard guard(1);
-        return workloads::runFig3Traffic(64, 6, 2000, 4000);
-    }();
+    const TrafficProbe sparse = workloads::runFig3Traffic(64, 6, 2000, 4000);
     expectExactStepAccounting(sparse, 64);
     const std::uint64_t steps =
         counterValue(sparse.run.counters, "net.router_steps");
@@ -358,20 +320,13 @@ TEST(NetScheduler, RouterStepInvariantExactSerial)
               0u);
 }
 
-TEST(NetScheduler, RouterStepInvariantExactThreaded)
-{
-    NetGuard g(1);
-    expectExactStepAccounting(fig4At(64, 4, 2500), 64);
-    expectExactStepAccounting(fig3At(64, 2, 2000), 64);
-}
-
 TEST(NetScheduler, RouterStepInvariantHoldsWithSchedulerOff)
 {
     // The legacy path keeps the same books: steps it makes are counted,
     // cycles its anyActive() early-out skips are event-skipped.
     NetGuard g(0);
-    expectExactStepAccounting(fig4At(64, 1, 2500), 64);
-    expectExactStepAccounting(fig3At(64, 1, 2000), 64);
+    expectExactStepAccounting(fig4At(64, 2500), 64);
+    expectExactStepAccounting(fig3At(64, 2000), 64);
 }
 
 TEST(NetScheduler, FabricQuietCostsZeroRouterSteps)
@@ -379,7 +334,6 @@ TEST(NetScheduler, FabricQuietCostsZeroRouterSteps)
     // A machine whose nodes never send: every fabric cycle is quiet,
     // so the mesh makes no router steps at all — the step cost tracks
     // in-flight flits, not mesh size.
-    ThreadsGuard guard(1);
     auto m = workloads::buildMachine(
         64, "noop.jasm", "boot:\n    CALL A2, jos_init\n    SUSPEND\n");
     const RunResult r = m->runFor(20000);

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/message_pool.hh"
-#include "sim/thread_pool.hh"
 
 namespace jmsim
 {
@@ -27,7 +28,7 @@ TEST(MessagePool, HandleReuseHasNoStalePayload)
     pool.release(h);
 
     const MsgHandle h2 = pool.alloc();
-    EXPECT_EQ(h2, h);  // single shard: LIFO free list hands it back
+    EXPECT_EQ(h2, h);  // LIFO free list hands it back
     const Message &fresh = pool.get(h2);
     EXPECT_EQ(fresh.src, 0u);
     EXPECT_EQ(fresh.dest, 0u);
@@ -110,34 +111,30 @@ TEST(MessagePool, TailAppearsOnlyAtFinalize)
     EXPECT_TRUE(msg.tailAt(flits - 1));
 }
 
-TEST(MessagePool, ShardedCountersFoldOnShrink)
+TEST(MessagePool, CountersTrackLiveHandlesAcrossResetStats)
 {
     MessagePool pool;
-    const unsigned shards = 4;
-    pool.setShards(shards);
-    ThreadPool workers(shards);
-    // Each shard allocates and releases on its own free list, as the
-    // node phase (alloc at send) and move phase (release at delivery)
-    // of the sharded kernel do.
-    workers.run([&pool](unsigned shard) {
-        std::vector<MsgHandle> mine;
-        for (unsigned i = 0; i < 10 + shard; ++i)
-            mine.push_back(pool.alloc());
-        for (const MsgHandle h : mine)
-            pool.release(h);
-        for (unsigned i = 0; i < shard; ++i)
-            pool.alloc();  // left live on purpose
-    });
-    const std::uint64_t expect_allocs = 4 * 10 + (0 + 1 + 2 + 3) * 2;
-    const std::uint64_t expect_live = 0 + 1 + 2 + 3;
+    std::vector<MsgHandle> held;
+    for (unsigned i = 0; i < 10; ++i)
+        held.push_back(pool.alloc());
+    for (unsigned i = 0; i < 7; ++i)
+        pool.release(held[i]);
+    pool.alloc();
     PoolStats s = pool.stats();
-    EXPECT_EQ(s.allocs, expect_allocs);
-    EXPECT_EQ(s.liveNow, expect_live);
-    // Folding back to one shard must not strand a counter or a slot.
-    pool.setShards(1);
+    EXPECT_EQ(s.allocs, 11u);
+    EXPECT_EQ(s.released, 7u);
+    // Only the first alloc carved a slab; the rest came off the free
+    // list, which a fresh slab fills with its other slots.
+    EXPECT_EQ(s.recycled, 10u);
+    EXPECT_EQ(s.liveNow, 4u);
+    // A fresh stats window zeroes the counters but not the live count.
+    pool.resetStats();
     s = pool.stats();
-    EXPECT_EQ(s.allocs, expect_allocs);
-    EXPECT_EQ(s.liveNow, expect_live);
+    EXPECT_EQ(s.allocs, 0u);
+    EXPECT_EQ(s.released, 0u);
+    EXPECT_EQ(s.recycled, 0u);
+    EXPECT_EQ(s.liveNow, 4u);
+    EXPECT_EQ(s.liveHighWater, 4u);
 }
 
 } // namespace

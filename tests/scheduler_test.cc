@@ -4,8 +4,7 @@
  * zero step calls, the stepped/skipped cycle accounting is exact, the
  * footprint audit reports sane numbers, the wake queue holds exactly
  * one entry per parked node, and — the hard invariant — a
- * scheduler-off run is bit-identical to a scheduler-on one at every
- * kernel configuration.
+ * scheduler-off run is bit-identical to a scheduler-on one.
  */
 
 #include <gtest/gtest.h>
@@ -25,12 +24,6 @@ namespace
 
 using workloads::TrafficProbe;
 
-struct ThreadsGuard
-{
-    explicit ThreadsGuard(int threads) { workloads::setSimThreads(threads); }
-    ~ThreadsGuard() { workloads::setSimThreads(-1); }
-};
-
 struct WakeGuard
 {
     explicit WakeGuard(int on) { workloads::setWakeScheduler(on); }
@@ -38,18 +31,16 @@ struct WakeGuard
 };
 
 TrafficProbe
-trafficAt(unsigned nodes, int threads, Cycle window)
+trafficAt(unsigned nodes, Cycle window)
 {
-    ThreadsGuard guard(threads);
     return workloads::runFig3Traffic(nodes, 6, 40, window);
 }
 
 /** High-grain traffic: long compute phases between sends, so almost
  *  every node spends almost every cycle parked mid-instruction. */
 TrafficProbe
-sparseTrafficAt(unsigned nodes, int threads, Cycle window)
+sparseTrafficAt(unsigned nodes, Cycle window)
 {
-    ThreadsGuard guard(threads);
     return workloads::runFig3Traffic(nodes, 6, 2000, window);
 }
 
@@ -70,17 +61,17 @@ expectIdenticalRuns(const TrafficProbe &a, const TrafficProbe &b)
 
 // The scheduler may only skip cycles/nodes that provably step to a
 // no-op, so turning it off must not change a single architectural
-// number — at either kernel.
-TEST(WakeScheduler, OffMatchesOnSerial)
+// number.
+TEST(WakeScheduler, OffMatchesOn)
 {
     TrafficProbe on, off;
     {
         WakeGuard w(1);
-        on = trafficAt(64, 1, 2000);
+        on = trafficAt(64, 2000);
     }
     {
         WakeGuard w(0);
-        off = trafficAt(64, 1, 2000);
+        off = trafficAt(64, 2000);
     }
     EXPECT_GT(on.instructions, 0u);
     expectIdenticalRuns(on, off);
@@ -91,66 +82,46 @@ TEST(WakeScheduler, OffMatchesOnSerial)
     EXPECT_EQ(on.netStats.messagesDelivered, 618u);
 }
 
-TEST(WakeScheduler, OffMatchesOnThreaded)
+TEST(WakeScheduler, SparseWorkloadOffMatchesOn)
 {
     TrafficProbe on, off;
     {
         WakeGuard w(1);
-        on = trafficAt(64, 4, 2000);
+        on = sparseTrafficAt(64, 4000);
     }
     {
         WakeGuard w(0);
-        off = trafficAt(64, 4, 2000);
+        off = sparseTrafficAt(64, 4000);
     }
+    EXPECT_GT(on.instructions, 0u);
     expectIdenticalRuns(on, off);
-}
-
-TEST(WakeScheduler, SparseWorkloadOffMatchesOnBothKernels)
-{
-    TrafficProbe on_s, off_s, on_t;
-    {
-        WakeGuard w(1);
-        on_s = sparseTrafficAt(64, 1, 4000);
-        on_t = sparseTrafficAt(64, 4, 4000);
-    }
-    {
-        WakeGuard w(0);
-        off_s = sparseTrafficAt(64, 1, 4000);
-    }
-    EXPECT_GT(on_s.instructions, 0u);
-    expectIdenticalRuns(on_s, off_s);
-    expectIdenticalRuns(on_s, on_t);
 }
 
 /** The BENCH sparse-activity workload: a token ring over 8 hot nodes
  *  while every other node poll-spins (see runSparseActivity). */
 TrafficProbe
-ringAt(unsigned nodes, int threads, Cycle window)
+ringAt(unsigned nodes, Cycle window)
 {
-    ThreadsGuard guard(threads);
     return workloads::runSparseActivity(nodes, 8, window);
 }
 
 // The heterogeneous-activity shape the scheduler's BENCH row measures:
 // the hot ring keeps the fabric busy while thousands of poll-spinning
-// nodes park. Turning the scheduler off (or sharding the kernel) must
-// not move a single number.
-TEST(WakeScheduler, SparseRingOffMatchesOnBothKernels)
+// nodes park. Turning the scheduler off must not move a single number.
+TEST(WakeScheduler, SparseRingOffMatchesOn)
 {
-    TrafficProbe on_s, off_s, on_t;
+    TrafficProbe on, off;
     {
         WakeGuard w(1);
-        on_s = ringAt(256, 1, 10000);
-        on_t = ringAt(256, 4, 10000);
+        on = ringAt(256, 10000);
     }
     {
         WakeGuard w(0);
-        off_s = ringAt(256, 1, 10000);
+        off = ringAt(256, 10000);
     }
-    EXPECT_GT(on_s.instructions, 0u);
-    EXPECT_GT(on_s.netStats.messagesDelivered, 0u);
-    expectIdenticalRuns(on_s, off_s);
-    expectIdenticalRuns(on_s, on_t);
+    EXPECT_GT(on.instructions, 0u);
+    EXPECT_GT(on.netStats.messagesDelivered, 0u);
+    expectIdenticalRuns(on, off);
 }
 
 // On the ring workload nearly every node is parked nearly every ticked
@@ -158,7 +129,7 @@ TEST(WakeScheduler, SparseRingOffMatchesOnBothKernels)
 TEST(WakeScheduler, SparseRingParksNodes)
 {
     WakeGuard w(1);
-    const TrafficProbe p = ringAt(256, 1, 10000);
+    const TrafficProbe p = ringAt(256, 10000);
     const std::uint64_t steps =
         counterValue(p.run.counters, "kernel.node_steps");
     const std::uint64_t skipped =
@@ -174,18 +145,11 @@ TEST(WakeScheduler, SparseRingParksNodes)
 // a fresh run was either ticked by the kernel or jumped by idle-skip.
 TEST(WakeScheduler, SteppedPlusSkippedSumToCycles)
 {
-    const TrafficProbe p = sparseTrafficAt(64, 1, 4000);
+    const TrafficProbe p = sparseTrafficAt(64, 4000);
     EXPECT_EQ(p.run.profile.steppedCycles + p.run.profile.skippedCycles,
               p.run.cycles);
     // The sparse workload actually exercises the skip path.
     EXPECT_GT(p.run.profile.skippedCycles, 0u);
-}
-
-TEST(WakeScheduler, SteppedPlusSkippedSumToCyclesThreaded)
-{
-    const TrafficProbe p = sparseTrafficAt(64, 4, 4000);
-    EXPECT_EQ(p.run.profile.steppedCycles + p.run.profile.skippedCycles,
-              p.run.cycles);
 }
 
 // On the high-grain workload the scheduler parks compute-phase nodes,
@@ -194,7 +158,7 @@ TEST(WakeScheduler, SteppedPlusSkippedSumToCyclesThreaded)
 TEST(WakeScheduler, SparseWorkloadParksNodes)
 {
     WakeGuard w(1);
-    const TrafficProbe p = sparseTrafficAt(64, 1, 4000);
+    const TrafficProbe p = sparseTrafficAt(64, 4000);
     const std::uint64_t steps =
         counterValue(p.run.counters, "kernel.node_steps");
     const std::uint64_t skipped =
@@ -209,7 +173,6 @@ TEST(WakeScheduler, SparseWorkloadParksNodes)
 // mesh further makes no step calls at all.
 TEST(WakeScheduler, QuiescentMeshDoesZeroNodeSteps)
 {
-    ThreadsGuard guard(1);
     auto m = workloads::buildMachine(
         16, "noop.jasm", "boot:\n    CALL A2, jos_init\n    SUSPEND\n");
     const RunResult first = m->runFor(20000);
@@ -228,9 +191,8 @@ TEST(WakeScheduler, QuiescentMeshDoesZeroNodeSteps)
 // costs more).
 TEST(WakeScheduler, FootprintBytesReported)
 {
-    ThreadsGuard guard(1);
-    const TrafficProbe small = trafficAt(16, 1, 500);
-    const TrafficProbe large = trafficAt(64, 1, 500);
+    const TrafficProbe small = trafficAt(16, 500);
+    const TrafficProbe large = trafficAt(64, 500);
     EXPECT_GT(small.run.footprintBytes, 0u);
     EXPECT_GT(large.run.footprintBytes, small.run.footprintBytes);
     // 64 nodes is dominated by 64 * 4K-word SRAMs (~2 MB array data);
@@ -252,9 +214,8 @@ constexpr unsigned kHotspotNodes = 64;
 constexpr unsigned kHotspotOps = 16;
 
 HotspotSlices
-hotspotInSlices(int threads, int wake_sched)
+hotspotInSlices(int wake_sched)
 {
-    ThreadsGuard guard(threads);
     WakeGuard w(wake_sched);
     auto m = workloads::buildFaaHotspotMachine(kHotspotNodes, kHotspotOps,
                                                /*combining=*/true);
@@ -275,27 +236,24 @@ hotspotInSlices(int threads, int wake_sched)
 // between run() calls it holds exactly one entry per parked node.
 TEST(WakeQueue, HoldsOneEntryPerParkedNodeThroughHotspot)
 {
-    for (const int threads : {1, 4}) {
-        const HotspotSlices h = hotspotInSlices(threads, 1);
-        EXPECT_EQ(h.last.reason, StopReason::AllHalted) << threads;
-        EXPECT_EQ(h.finalValue,
-                  static_cast<std::int32_t>(kHotspotNodes * kHotspotOps));
-        EXPECT_GT(h.maxParked, 0u) << threads;
-        const std::uint64_t parks =
-            counterValue(h.last.counters, "kernel.parks");
-        const std::uint64_t early =
-            counterValue(h.last.counters, "kernel.early_wakes");
-        EXPECT_GT(early, 0u) << threads;
-        EXPECT_LE(early, parks) << threads;
-    }
+    const HotspotSlices h = hotspotInSlices(1);
+    EXPECT_EQ(h.last.reason, StopReason::AllHalted);
+    EXPECT_EQ(h.finalValue,
+              static_cast<std::int32_t>(kHotspotNodes * kHotspotOps));
+    EXPECT_GT(h.maxParked, 0u);
+    const std::uint64_t parks = counterValue(h.last.counters, "kernel.parks");
+    const std::uint64_t early =
+        counterValue(h.last.counters, "kernel.early_wakes");
+    EXPECT_GT(early, 0u);
+    EXPECT_LE(early, parks);
 }
 
 // The same sliced hotspot with the scheduler off: no node ever parks,
 // and every architectural number matches the scheduler-on run.
 TEST(WakeQueue, HotspotOffMatchesOn)
 {
-    const HotspotSlices on = hotspotInSlices(1, 1);
-    const HotspotSlices off = hotspotInSlices(1, 0);
+    const HotspotSlices on = hotspotInSlices(1);
+    const HotspotSlices off = hotspotInSlices(0);
     EXPECT_EQ(off.maxParked, 0u);
     EXPECT_EQ(counterValue(off.last.counters, "kernel.parks"), 0u);
     EXPECT_EQ(on.last.cycles, off.last.cycles);

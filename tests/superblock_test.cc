@@ -4,7 +4,7 @@
  * boundaries at stop-flagged ops, optimistic narrowing at kStopOpt
  * ops, spin-loop discovery, and bit-exact A/B parity between span
  * execution and the per-op interpreter on compute, translation, and
- * message-driven workloads (serial and sharded kernels).
+ * message-driven workloads.
  */
 
 #include <gtest/gtest.h>
@@ -28,14 +28,12 @@ makeProgram(const std::string &app)
 }
 
 JMachine
-makeMachine(unsigned nodes, const std::string &app, bool superblock,
-            unsigned threads = 1)
+makeMachine(unsigned nodes, const std::string &app, bool superblock)
 {
     Program prog = assemble(jos::withKernel("superblock.jasm", app, false));
     MachineConfig cfg;
     cfg.dims = MeshDims::forNodeCount(nodes);
     cfg.proc.superblock = superblock;
-    cfg.threads = threads;
     return JMachine(cfg, std::move(prog));
 }
 
@@ -291,12 +289,6 @@ ack_handler:
     expectIdentical(on, off, 200000);
     ASSERT_EQ(outInts(on).size(), 1u);
     EXPECT_EQ(outInts(on)[0], 0);
-
-    // And the sharded kernel with spans on matches the serial kernel
-    // with spans off — the two mechanisms compose.
-    JMachine on4 = makeMachine(4, app, true, 4);
-    JMachine off1 = makeMachine(4, app, false, 1);
-    expectIdentical(on4, off1, 200000);
 }
 
 } // namespace

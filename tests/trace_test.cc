@@ -3,7 +3,7 @@
  * jtrace subsystem tests: ring wrap/drop accounting, canonical
  * collect() ordering, the counter registry, the Chrome trace-event
  * writer/parser (golden string + file round-trip), bit-identical
- * serial vs sharded trace streams, and the latency reconstruction
+ * streams from repeat runs, and the latency reconstruction
  * guarantee (summarizeTrace vs the fabric's own histogram).
  */
 
@@ -39,17 +39,15 @@ makeEvent(Cycle cycle, std::uint32_t node, TraceKind kind,
     return ev;
 }
 
-/** One traced fig3 run with the requested worker count. */
+/** One traced fig3 run. */
 TrafficProbe
-tracedRun(int threads, Cycle window)
+tracedRun(Cycle window)
 {
     TraceConfig tc;
     tc.enabled = true;
-    setSimThreads(threads);
     setTraceConfig(tc);
     TrafficProbe p = runFig3Traffic(64, 6, 40, window);
     clearTraceConfig();
-    setSimThreads(-1);
     return p;
 }
 
@@ -257,40 +255,35 @@ TEST(TraceSummaryTest, MatchesSendsToRecvs)
     EXPECT_EQ(s.idleSkippedCycles, 12u);
 }
 
-TEST(TraceDeterminism, SerialAndShardedEmitIdenticalStreams)
+TEST(TraceDeterminism, RepeatRunsEmitIdenticalStreams)
 {
-    const TrafficProbe serial = tracedRun(1, 1200);
-    ASSERT_EQ(serial.traceDropped, 0u);
-    ASSERT_FALSE(serial.trace.empty());
+    const TrafficProbe first = tracedRun(1200);
+    ASSERT_EQ(first.traceDropped, 0u);
+    ASSERT_FALSE(first.trace.empty());
     // The run must actually exercise the interesting kinds.
-    const TraceSummary s = summarizeTrace(serial.trace);
+    const TraceSummary s = summarizeTrace(first.trace);
     EXPECT_GT(s.countByKind[static_cast<unsigned>(TraceKind::MsgSend)], 0u);
     EXPECT_GT(s.countByKind[static_cast<unsigned>(TraceKind::MsgRecv)], 0u);
     EXPECT_GT(s.countByKind[static_cast<unsigned>(TraceKind::Dispatch)], 0u);
     EXPECT_GT(
         s.countByKind[static_cast<unsigned>(TraceKind::FlitForward)], 0u);
 
-    for (int threads : {4, 7}) {
-        const TrafficProbe sharded = tracedRun(threads, 1200);
-        ASSERT_EQ(sharded.traceDropped, 0u) << "threads=" << threads;
-        ASSERT_EQ(sharded.trace.size(), serial.trace.size())
-            << "threads=" << threads;
-        std::size_t first_mismatch = serial.trace.size();
-        for (std::size_t i = 0; i < serial.trace.size(); ++i) {
-            if (!(sharded.trace[i] == serial.trace[i])) {
-                first_mismatch = i;
-                break;
-            }
+    const TrafficProbe second = tracedRun(1200);
+    ASSERT_EQ(second.trace.size(), first.trace.size());
+    std::size_t first_mismatch = first.trace.size();
+    for (std::size_t i = 0; i < first.trace.size(); ++i) {
+        if (!(second.trace[i] == first.trace[i])) {
+            first_mismatch = i;
+            break;
         }
-        EXPECT_EQ(first_mismatch, serial.trace.size())
-            << "threads=" << threads << ": streams diverge at event "
-            << first_mismatch;
     }
+    EXPECT_EQ(first_mismatch, first.trace.size())
+        << "streams diverge at event " << first_mismatch;
 }
 
 TEST(TraceLatency, SummaryMatchesFabricHistogram)
 {
-    const TrafficProbe p = tracedRun(1, 2000);
+    const TrafficProbe p = tracedRun(2000);
     ASSERT_EQ(p.traceDropped, 0u);
     const TraceSummary s = summarizeTrace(p.trace);
 

@@ -5,15 +5,11 @@
  * machine. Useful when developing workloads outside the C++ drivers.
  *
  *   jasm_tool [--no-kernel] [--symbols] [--listing] file.jasm...
- *   jasm_tool --run [--nodes N] [--threads T] [--max-cycles C]
+ *   jasm_tool --run [--nodes N] [--max-cycles C]
  *             [--superblock on|off] [--wake-sched on|off]
  *             [--net-sched on|off] [--faa on|off] [--combining on|off]
  *             [--barrier-tree on|off] [--trace out.json]
  *             [--trace-filter cats] file.jasm
- *
- * `--threads` selects the simulation kernel's worker count: 1 forces
- * the serial kernel, N > 1 runs N shards (bit-identical results), and
- * the default (0) picks from the host's hardware concurrency.
  *
  * `--superblock off` disables fused span execution and interprets one
  * op per cycle (bit-identical results, slower host time) — an A/B
@@ -92,25 +88,20 @@ printListing(const Program &prog)
 
 /** Assemble + run one program on a machine; print the outcome. */
 int
-runProgram(const std::string &path, unsigned nodes, int threads,
-           int superblock, int wake_sched, int net_sched,
-           const NetOpsConfig &netops, Cycle max_cycles,
-           const TraceConfig &trace)
+runProgram(const std::string &path, unsigned nodes, int superblock,
+           int wake_sched, int net_sched, const NetOpsConfig &netops,
+           Cycle max_cycles, const TraceConfig &trace)
 {
-    workloads::setSimThreads(threads);
     workloads::setSuperblock(superblock);
     workloads::setWakeScheduler(wake_sched);
     workloads::setNetScheduler(net_sched);
     workloads::setNetOpsConfig(netops);
     workloads::setTraceConfig(trace);
     auto m = workloads::buildMachine(nodes, path, readFile(path));
-    std::printf("running %s on %u nodes (%u worker shard%s)\n",
-                path.c_str(), m->nodeCount(), m->resolvedThreads(),
-                m->resolvedThreads() == 1 ? "" : "s");
+    std::printf("running %s on %u nodes\n", path.c_str(), m->nodeCount());
     const RunResult r = m->run(max_cycles);
     workloads::clearTraceConfig();
     workloads::clearNetOpsConfig();
-    workloads::setSimThreads(-1);
     workloads::setSuperblock(-1);
     workloads::setWakeScheduler(-1);
     workloads::setNetScheduler(-1);
@@ -158,7 +149,6 @@ main(int argc, char **argv)
     bool listing = false;
     bool run = false;
     unsigned nodes = 64;
-    int threads = -1;       // -1 = driver default (auto)
     int superblock = -1;    // -1 = driver default (on)
     int wake_sched = -1;    // -1 = driver default (on)
     int net_sched = -1;     // -1 = driver default (on)
@@ -207,8 +197,6 @@ main(int argc, char **argv)
             run = true;
         else if (!std::strcmp(argv[i], "--nodes") && i + 1 < argc)
             nodes = static_cast<unsigned>(std::atoi(argv[++i]));
-        else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc)
-            threads = std::atoi(argv[++i]);
         else if (!std::strcmp(argv[i], "--max-cycles") && i + 1 < argc)
             max_cycles = static_cast<Cycle>(std::atoll(argv[++i]));
         else if (!std::strcmp(argv[i], "--superblock") && i + 1 < argc) {
@@ -265,7 +253,7 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "usage: jasm_tool [--no-kernel] [--symbols] "
                      "[--listing] file.jasm...\n"
-                     "       jasm_tool --run [--nodes N] [--threads T] "
+                     "       jasm_tool --run [--nodes N] "
                      "[--max-cycles C] [--superblock on|off] "
                      "[--wake-sched on|off] [--net-sched on|off] "
                      "[--faa on|off] [--combining on|off] "
@@ -276,9 +264,8 @@ main(int argc, char **argv)
     }
     if (run) {
         try {
-            return runProgram(files[0], nodes, threads, superblock,
-                              wake_sched, net_sched, netops, max_cycles,
-                              trace);
+            return runProgram(files[0], nodes, superblock, wake_sched,
+                              net_sched, netops, max_cycles, trace);
         } catch (const std::exception &e) {
             std::fprintf(stderr, "%s\n", e.what());
             return 1;

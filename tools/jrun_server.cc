@@ -16,10 +16,12 @@
  * Spec fields: `workload` ("radix_sort" | "nqueens" | "tsp"),
  * `nodes`, the workload's size (`keys` / `queens` / `cities`), an
  * optional `label`, an optional `warmup` cycle count, and the host
- * toggles `threads`, `wake_scheduler`, `net_scheduler`, `superblock`,
- * `idle_skip` (0/1 or true/false; omitted = machine default). Toggles
- * never change simulated results — the rows of a group differ only in
- * host cost — which is what makes a toggle sweep from one image sound.
+ * toggles `wake_scheduler`, `net_scheduler`, `superblock`, `idle_skip`
+ * (0/1 or true/false; omitted = machine default). Toggles never change
+ * simulated results — the rows of a group differ only in host cost —
+ * which is what makes a toggle sweep from one image sound. A line that
+ * sets `threads` is refused: the simulation kernel is serial, and host
+ * parallelism comes from `--jobs`.
  *
  * `warmup` (group-level, read from the group's first job; `--warmup
  * N` sets the default) advances the freshly booted image N cycles
@@ -90,7 +92,6 @@ struct Job
     unsigned cities = 10;    ///< tsp
     long warmup = -1;        ///< group warmup cycles; -1 = CLI default
     // Host toggles; -1 = leave the machine default.
-    int threads = -1;
     int wakeScheduler = -1;
     int netScheduler = -1;
     int superblock = -1;
@@ -185,8 +186,11 @@ parseJob(const std::string &line, Job *job, std::string *err)
         job->cities = static_cast<unsigned>(v);
     if (parseInt(line, "warmup", &v))
         job->warmup = v;
-    if (parseInt(line, "threads", &v))
-        job->threads = static_cast<int>(v);
+    if (findKey(line, "threads")) {
+        *err = "\"threads\" is not a job option (the simulation kernel is "
+               "serial; use --jobs for host parallelism)";
+        return false;
+    }
     if (parseInt(line, "wake_scheduler", &v))
         job->wakeScheduler = v ? 1 : 0;
     if (parseInt(line, "net_scheduler", &v))
@@ -224,8 +228,6 @@ bootJob(const Job &job)
 void
 applyToggles(JMachine &m, const Job &job)
 {
-    if (job.threads >= 0)
-        m.setThreads(static_cast<unsigned>(job.threads));
     if (job.wakeScheduler >= 0)
         m.setWakeScheduler(job.wakeScheduler != 0);
     if (job.netScheduler >= 0)
@@ -248,7 +250,7 @@ emitJob(PreparedApp &app, const Job &job, double boot_sec)
     RunRow row;
     row.workload = job.label;
     row.nodes = job.nodes;
-    row.threads = job.threads > 0 ? static_cast<unsigned>(job.threads) : 1;
+    row.threads = 1;
     row.hostSeconds = secondsSince(t0);
     row.simCycles = r.runCycles;
     row.simInstructions = r.instructions;
